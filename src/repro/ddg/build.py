@@ -11,7 +11,9 @@ offset arrays) — no intermediate list-of-tuples is materialized.
 
 A :class:`~repro.trace.columnar.ColumnarTrace` short-circuits to the
 fused columnar path: the sink already holds DDG-shaped columns, so
-construction is a single flat-array pass with no record objects."""
+construction is a single flat-array pass with no record objects; a
+:class:`~repro.trace.store.StoredTrace` (a trace store on disk) streams
+through :meth:`~repro.trace.store.SegmentStore.to_ddg`."""
 
 from __future__ import annotations
 
@@ -27,31 +29,18 @@ def build_ddg(trace: Trace, tel=None) -> DDG:
     if tel is None:
         tel = get_telemetry()
     store = getattr(trace, "segment_store", None)
+    sink = getattr(trace, "columnar_sink", None)
     if store is not None:
         ddg = store.to_ddg(tel=tel)
-        if tel.enabled:
-            tel.count("ddg.nodes", len(ddg.sids))
-            tel.count("ddg.edges", len(ddg.pred_indices))
-        return ddg
-    sink = getattr(trace, "columnar_sink", None)
-    if sink is not None:
+    else:
         with tel.span("ddg.build"):
-            ddg = sink.to_ddg()
-        if tel.enabled:
-            tel.count("ddg.nodes", len(ddg.sids))
-            tel.count("ddg.edges", len(ddg.pred_indices))
-            tel.count("ddg.marker_segments",
-                      sink.stats()["marker_segments"])
-        return ddg
-    return _build_from_records(trace, tel)
-
-
-def _build_from_records(trace: Trace, tel) -> DDG:
-    with tel.span("ddg.build"):
-        ddg = _walk_records(trace)
+            ddg = sink.to_ddg() if sink is not None else _walk_records(trace)
     if tel.enabled:
         tel.count("ddg.nodes", len(ddg.sids))
         tel.count("ddg.edges", len(ddg.pred_indices))
+        if sink is not None:
+            tel.count("ddg.marker_segments",
+                      sink.stats()["marker_segments"])
     return ddg
 
 

@@ -764,7 +764,7 @@ def _pair_vals(d1, d2, k, kNM, NM, ma, defa):
     """Materialized per-iteration address pairs for one FP op.
 
     A list (not a lazy zip) because the sink may scan the run more than
-    once — once per DDG build, once more if the trace is serialized.
+    once — once per DDG build, once more if the records are viewed.
     """
     k1 = d1[0]
     k2 = d2[0]

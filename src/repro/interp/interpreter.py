@@ -688,6 +688,7 @@ def run_and_trace(
     tel=None,
     compile_loops: bool = True,
     compile_threshold: Optional[int] = None,
+    spill_dir: Optional[str] = None,
 ) -> Trace:
     """Execute a module and collect a trace.
 
@@ -699,11 +700,19 @@ def run_and_trace(
     (:class:`~repro.trace.columnar.ColumnarSink`) and returned as a
     :class:`~repro.trace.columnar.ColumnarTrace` — ``records`` stay
     available as a lazy view, and DDG construction takes the fused fast
-    path.  ``columnar=False`` forces the legacy object-per-record sinks.
+    path.  ``spill_dir`` writes the same columns to a segment store in
+    that directory instead (the ``vectra trace`` file format) and returns
+    a :class:`~repro.trace.store.StoredTrace` over it.  ``columnar=False``
+    forces the legacy object-per-record sinks.
     """
     if tel is None:
         tel = get_telemetry()
-    if columnar:
+    if spill_dir:
+        from repro.trace.store import SegmentedLoopSink, SegmentedSink
+
+        sink = (SegmentedSink(spill_dir) if loop is None
+                else SegmentedLoopSink(loop, instances, spill_dir=spill_dir))
+    elif columnar:
         sink = (ColumnarSink() if loop is None
                 else ColumnarLoopSink(loop, instances))
     elif loop is None:
@@ -731,6 +740,8 @@ def run_and_trace(
             tel.count("trace.backpatches", stats["backpatches"])
         else:
             tel.count("trace.records.kept", len(sink.records))
+    if spill_dir:
+        return sink.finish().trace(module)
     if columnar:
         return ColumnarTrace(module, sink)
     return Trace(module, sink.records)

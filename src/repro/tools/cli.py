@@ -10,8 +10,8 @@ Subcommands:
   verdicts with reasons.
 - ``speedup <orig> <transformed>`` — simulated Table-4-style speedups on
   the three machine models.
-- ``trace <workload> --loop NAME [-o OUT]`` — dump a loop subtrace to a
-  binary trace file.
+- ``trace <workload> --loop NAME [-o DIR]`` — record a loop subtrace
+  into a trace store directory (``analyze-trace DIR`` analyzes it).
 - ``explain <workload> [--loop NAME]`` — drill-down evidence report:
   dependence witnesses, stride-break provenance with layout culprits,
   and the static refusal reasons cross-examined against the trace.
@@ -110,12 +110,21 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _read_source(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise VectraError(
+            f"cannot read source {path!r}: {exc.strerror}"
+        ) from None
+
+
 def _cmd_analyze_file(args) -> int:
     from repro.analysis.pipeline import analyze_program
     from repro.workloads.base import analyze_workload
 
-    with open(args.path) as fh:
-        source = fh.read()
+    source = _read_source(args.path)
     if args.loop:
         report = analyze_workload(source, args.path, [args.loop],
                                   **_run_opts(args))
@@ -207,7 +216,6 @@ def _cmd_opportunities(args) -> int:
 
 def _cmd_trace(args) -> int:
     from repro.interp import run_and_trace
-    from repro.trace.serialize import save_trace
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
@@ -216,25 +224,24 @@ def _cmd_trace(args) -> int:
     if info is None:
         raise VectraError(f"no loop named {args.loop!r}")
     trace = run_and_trace(module, workload.entry, loop=info.loop_id,
-                          instances={args.instance}, **_run_opts(args))
-    save_trace(trace, args.output)
+                          instances={args.instance}, spill_dir=args.output,
+                          **_run_opts(args))
     print(f"wrote {len(trace)} records to {args.output}")
     return 0
 
 
 def _cmd_analyze_trace(args) -> int:
-    """Offline analysis of a previously dumped trace (the paper's
-    collect-then-analyze workflow)."""
+    """Offline analysis of a trace store written by ``vectra trace``
+    (the paper's collect-then-analyze workflow)."""
     from repro.analysis.metrics import loop_metrics
     from repro.analysis.report import LoopReport
     from repro.ddg import build_ddg
     from repro.frontend.driver import compile_source
-    from repro.trace.serialize import load_trace
+    from repro.trace.store import open_store
 
-    with open(args.source) as fh:
-        module = compile_source(fh.read(), args.source)
-    trace = load_trace(args.trace, module)
-    ddg = build_ddg(trace)
+    store = open_store(args.trace)
+    module = compile_source(_read_source(args.source), args.source)
+    ddg = build_ddg(store.trace(module))
     report = loop_metrics(ddg, module, args.trace,
                           include_integer=args.integer)
     print(LoopReport.header())
@@ -795,20 +802,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("transformed")
     p.set_defaults(func=_cmd_speedup)
 
-    p = sub.add_parser("trace", help="dump a loop subtrace to a file",
+    p = sub.add_parser("trace",
+                       help="record a loop subtrace into a trace store",
                        parents=[obs])
     p.add_argument("workload")
     p.add_argument("--loop", required=True)
     p.add_argument("--instance", type=int, default=0)
-    p.add_argument("-o", "--output", default="loop.vtrc")
+    p.add_argument("-o", "--output", default="loop.vtrace",
+                   help="trace store directory to write (new, empty, or "
+                        "an earlier store; default: loop.vtrace)")
     _add_fuel_option(p)
     _add_compile_options(p)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("analyze-trace",
-                       help="offline analysis of a dumped trace file",
+                       help="offline analysis of a recorded trace store",
                        parents=[obs])
-    p.add_argument("trace")
+    p.add_argument("trace", help="trace store directory from vectra trace")
     p.add_argument("--source", required=True,
                    help="the mini-C source the trace was collected from")
     p.add_argument("--integer", action="store_true")

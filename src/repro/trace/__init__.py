@@ -1,4 +1,4 @@
-"""Dynamic execution traces: records, containers, sinks, serialization."""
+"""Dynamic execution traces: records, containers, sinks, segment stores."""
 
 from repro.trace.events import DynInstr, MARKER_ENTER, MARKER_NEXT, MARKER_EXIT
 from repro.trace.trace import Trace, LoopSpan

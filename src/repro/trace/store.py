@@ -30,6 +30,11 @@ format while tracing and streams the analysis back segment by segment:
   windows to streaming consumers such as
   :func:`repro.analysis.timestamps.packed_scan_stream`.
 
+The store is also the ``vectra trace`` file format: ``trace -o DIR``
+writes one, and ``analyze-trace DIR`` streams it through
+:meth:`SegmentStore.to_ddg`.  The reader rejects a damaged or foreign
+store with a :class:`TraceError` before any column is indexed.
+
 Everything is gated on bit-identity: ``SegmentStore.to_ddg()`` equals
 ``ColumnarSink.to_ddg()`` on the same run, column for column (tested on
 the randomized kernel suite), so spilling is purely a memory-ceiling
@@ -145,14 +150,8 @@ class SegmentedSink(ColumnarSink):
         }
         self._open_span = False
         self._finished = False
+        _claim_store_dir(spill_dir)
         get_status_bus().note_spill_dir(spill_dir)
-        os.makedirs(spill_dir, exist_ok=True)
-        # A fresh run owns the directory: drop any stale store so a
-        # rerun with fewer segments cannot leave orphans behind the new
-        # manifest.
-        for name in os.listdir(spill_dir):
-            if name == MANIFEST_NAME or _SEGMENT_RE.match(name):
-                os.unlink(os.path.join(spill_dir, name))
 
     # -- the streaming write path (hot) ------------------------------------
 
@@ -496,6 +495,28 @@ class SegmentedLoopSink(SegmentedSink):
     on_marker = ColumnarLoopSink.on_marker
 
 
+def _claim_store_dir(path: str) -> None:
+    """Make ``path`` an empty store directory.  A fresh run owns it: a
+    stale store is dropped, so a rerun with fewer segments cannot leave
+    orphans behind the new manifest; anything else is refused."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise TraceError(f"{path!r} exists and is not a directory; a trace "
+                         f"store is a directory, so name a new or empty one")
+    try:
+        os.makedirs(path, exist_ok=True)
+        names = sorted(os.listdir(path))
+        for name in names:
+            if name != MANIFEST_NAME and not _SEGMENT_RE.match(name):
+                raise TraceError(
+                    f"{path!r} is not empty and is not a trace store (it "
+                    f"holds {name!r}); name a new or empty directory")
+        for name in names:
+            os.unlink(os.path.join(path, name))
+    except OSError as exc:
+        raise TraceError(f"cannot use {path!r} as a trace store: "
+                         f"{exc.strerror}") from None
+
+
 def _write_segment_file(path: str, index: int,
                         sections: Dict[str, array]) -> Tuple[dict, int]:
     """Write one segment file; returns ({name: [offset, count]}, bytes)."""
@@ -518,6 +539,118 @@ def _write_segment_file(path: str, index: int,
 
 # ---------------------------------------------------------------------------
 # reader
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _reject_file(path: str) -> None:
+    """A regular file is never a store; name the retired format."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+    except OSError:
+        magic = b""
+    if magic == b"VTRC":
+        raise TraceError(f"{path!r} is a trace file in the retired VTRC "
+                         f"format; re-record it with `vectra trace`, which "
+                         f"writes a trace store directory")
+    raise TraceError(f"{path!r} is a file, not a trace store directory")
+
+
+def _check_manifest(manifest, where: str) -> None:
+    """Reject a manifest the readers would trip over: missing or
+    mistyped keys, segment files outside the store, sections past a
+    segment's end, and segments that do not tile the trace's rows."""
+
+    def check(ok: bool, msg: str) -> None:
+        if not ok:
+            raise TraceError(f"{where}: {msg}")
+
+    check(isinstance(manifest, dict), "the manifest is not a JSON object")
+    schema = manifest.get("schema")
+    check(schema == STORE_SCHEMA, f"unknown trace-store schema {schema!r} "
+                                  f"(expected {STORE_SCHEMA!r})")
+    check(manifest.get("version") == SEGMENT_VERSION,
+          f"unsupported trace-store version {manifest.get('version')!r}")
+    for key in ("rows", "markers"):
+        check(_is_count(manifest.get(key)), f"{key!r} is missing or not a "
+                                            f"count")
+    segments = manifest.get("segments")
+    check(isinstance(segments, list), "'segments' is missing or not a list")
+    rows = markers = 0
+    for i, seg in enumerate(segments):
+        check(isinstance(seg, dict), f"segment {i} is not a JSON object")
+        for key in ("row0", "rows", "markers", "markers_before", "bytes"):
+            check(_is_count(seg.get(key)),
+                  f"segment {i}: {key!r} is missing or not a count")
+        name = seg.get("file")
+        check(isinstance(name, str) and bool(_SEGMENT_RE.match(name)),
+              f"segment {i}: 'file' {name!r} is not a segment-NNNNN.vseg "
+              f"name inside the store")
+        check(seg["row0"] == rows and seg["markers_before"] == markers,
+              f"segment {i} starts at row {seg['row0']}, marker "
+              f"{seg['markers_before']}; the segments before it end at "
+              f"row {rows}, marker {markers}")
+        sections = seg.get("sections")
+        check(isinstance(sections, dict),
+              f"segment {i}: 'sections' is missing or not an object")
+        for sec, tc in SECTION_TYPECODES.items():
+            entry = sections.get(sec)
+            check(isinstance(entry, list) and len(entry) == 2
+                  and all(map(_is_count, entry)),
+                  f"segment {i}: section {sec!r} is missing or not an "
+                  f"[offset, count] pair")
+            end = entry[0] + entry[1] * struct.calcsize(tc)
+            check(_HEADER.size <= entry[0] and end <= seg["bytes"],
+                  f"segment {i}: section {sec!r} spans bytes "
+                  f"[{entry[0]}, {end}), outside the segment's "
+                  f"[{_HEADER.size}, {seg['bytes']})")
+        for sec, key in (("sids", "rows"), ("opcodes", "rows"),
+                         ("dep_counts", "rows"), ("marker_rows", "markers")):
+            check(sections[sec][1] == seg[key],
+                  f"segment {i}: section {sec!r} holds {sections[sec][1]} "
+                  f"entries, expected {seg[key]}")
+        patches = seg.get("store_patches")
+        check(isinstance(patches, list) and all(
+            isinstance(p, list) and len(p) == 2 and _is_count(p[0])
+            and p[0] < seg["rows"] and type(p[1]) is int for p in patches),
+            f"segment {i}: 'store_patches' is missing or holds a row "
+            f"outside the segment")
+        rows += seg["rows"]
+        markers += seg["markers"]
+    check(manifest["rows"] == rows and manifest["markers"] == markers,
+          f"the manifest counts {manifest['rows']} rows and "
+          f"{manifest['markers']} markers, its segments {rows} and "
+          f"{markers}")
+
+
+def _bounds(col) -> Tuple[int, int, int]:
+    """(min, max, sum) of a typed column; (0, -1, 0) when empty."""
+    if not len(col):
+        return 0, -1, 0
+    if _np is not None:
+        a = _np.asarray(col)
+        return int(a.min()), int(a.max()), int(a.sum())
+    return min(col), max(col), sum(col)
+
+
+def _check_columns(seg: "SegmentData", path: str) -> None:
+    """Reject column values the chunk builders would index out of range
+    with: row keys outside the segment, and dependence/address counts
+    that do not add up to their flat sections."""
+    rows = seg.meta["rows"]
+    for name in ("marker_rows", "addr_rows", "mem_rows", "store_rows"):
+        lo, hi, _ = _bounds(getattr(seg, name))
+        if lo < 0 or hi >= rows:
+            raise TraceError(f"{path!r}: section {name!r} holds a row "
+                             f"outside the segment's {rows} rows")
+    for name, flat in (("dep_counts", "dep_flat"),
+                       ("addr_counts", "addr_flat")):
+        lo, _, total = _bounds(getattr(seg, name))
+        if lo < 0 or total != len(getattr(seg, flat)):
+            raise TraceError(f"{path!r}: section {name!r} does not add up "
+                             f"to the entries of {flat!r}")
 
 
 class SegmentData:
@@ -578,6 +711,8 @@ class SegmentStore:
     def __init__(self, path: str, use_mmap: bool = True):
         self.path = path
         self.use_mmap = use_mmap
+        if os.path.isfile(path):
+            _reject_file(path)
         manifest_path = os.path.join(path, MANIFEST_NAME)
         try:
             with open(manifest_path) as fh:
@@ -591,11 +726,7 @@ class SegmentStore:
                 f"cannot read trace-store manifest {manifest_path!r}: "
                 f"{exc}"
             ) from None
-        if manifest.get("schema") != STORE_SCHEMA:
-            raise TraceError(
-                f"{manifest_path!r}: unknown trace-store schema "
-                f"{manifest.get('schema')!r} (expected {STORE_SCHEMA!r})"
-            )
+        _check_manifest(manifest, manifest_path)
         self.manifest = manifest
         self.segments: List[dict] = manifest["segments"]
         self.total_rows: int = manifest["rows"]
@@ -631,6 +762,16 @@ class SegmentStore:
                         f"{path!r}: segment header mismatch (version "
                         f"{version}, index {idx}; manifest says {index})"
                     )
+                # The manifest keeps every section inside meta["bytes"],
+                # so a file of exactly that size bounds every read.
+                size = os.fstat(fh.fileno()).st_size
+                if size != meta["bytes"]:
+                    state = ("truncated" if size < meta["bytes"]
+                             else "has trailing bytes")
+                    raise TraceError(
+                        f"{path!r}: segment {state}: {size} bytes on "
+                        f"disk, the manifest says {meta['bytes']}"
+                    )
                 if self.use_mmap and meta["rows"]:
                     mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
                     seg._mm = mm
@@ -646,15 +787,11 @@ class SegmentStore:
                         fh.seek(off)
                         arr = array(tc)
                         nbytes = count * arr.itemsize
-                        data = fh.read(nbytes)
-                        if len(data) != nbytes:
-                            raise TraceError(
-                                f"{path!r}: truncated section {name!r}"
-                            )
-                        arr.frombytes(data)
+                        arr.frombytes(fh.read(nbytes))
                         setattr(seg, name, arr)
         except OSError as exc:
             raise TraceError(f"cannot read segment {path!r}: {exc}") from None
+        _check_columns(seg, path)
         return seg
 
     def iter_segments(self) -> Iterator[SegmentData]:
@@ -669,9 +806,16 @@ class SegmentStore:
         if not count:
             return arr
         path = os.path.join(self.path, meta["file"])
-        with open(path, "rb") as fh:
-            fh.seek(off)
-            arr.frombytes(fh.read(count * arr.itemsize))
+        nbytes = count * arr.itemsize
+        try:
+            with open(path, "rb") as fh:
+                fh.seek(off)
+                data = fh.read(nbytes)
+        except OSError as exc:
+            raise TraceError(f"cannot read segment {path!r}: {exc}") from None
+        if len(data) != nbytes:
+            raise TraceError(f"{path!r}: truncated section {name!r}")
+        arr.frombytes(data)
         return arr
 
     def context(self) -> _StoreContext:
@@ -1076,7 +1220,7 @@ class StoredTrace(Trace):
     """A :class:`Trace` view over a segment store.
 
     :func:`~repro.ddg.build.build_ddg` recognizes the attached store and
-    streams segment windows; ``records`` (span indexing, serialization)
+    streams segment windows; ``records`` (span indexing)
     materializes the full columns on demand via :meth:`SegmentStore
     .to_sink` — the compat path, at full-RAM cost.
     """

@@ -1,6 +1,7 @@
 """CLI smoke tests (everything through main(argv))."""
 
 import json
+import os
 
 import pytest
 
@@ -95,6 +96,13 @@ class TestCLI:
         assert code == 0
         assert "L" in out
 
+    def test_analyze_file_missing_path_fails_cleanly(self, capsys,
+                                                     tmp_path):
+        code = main(["analyze-file", str(tmp_path / "missing.c")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "cannot read source" in err
+
 
 class TestRunOptions:
     """--jobs / --fuel plumbing through the analysis subcommands."""
@@ -166,6 +174,77 @@ class TestRunOptions:
         code = main(["opportunities", "gauss_seidel", "--fuel", "50"])
         assert code == 1
         assert "instruction budget exhausted" in capsys.readouterr().err
+
+
+class TestTraceStorePaths:
+    """``trace -o`` names a trace store directory and ``analyze-trace``
+    reads one; bad paths fail by name, never with a traceback."""
+
+    def _source(self, tmp_path):
+        from repro.workloads import get_workload
+
+        path = tmp_path / "fir.c"
+        path.write_text(get_workload("utdsp_fir_array").source())
+        return str(path)
+
+    def test_output_regular_file_fails_cleanly(self, capsys, tmp_path):
+        target = tmp_path / "x.vtrc"
+        target.write_bytes(b"keep me")
+        code = main(["trace", "utdsp_fir_array", "--loop", "fir_n",
+                     "-o", str(target)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "is not a directory" in err
+        assert target.read_bytes() == b"keep me"
+
+    def test_output_foreign_directory_fails_cleanly(self, capsys, tmp_path):
+        (tmp_path / "notes.txt").write_text("keep me")
+        code = main(["trace", "utdsp_fir_array", "--loop", "fir_n",
+                     "-o", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "not a trace store" in err and "notes.txt" in err
+        assert sorted(os.listdir(tmp_path)) == ["notes.txt"]
+
+    def test_output_existing_store_is_rewritten(self, capsys, tmp_path):
+        store = str(tmp_path / "fir.vtrace")
+        src = self._source(tmp_path)
+        assert main(["trace", "utdsp_fir_array", "--loop", "fir_n",
+                     "-o", store]) == 0
+        capsys.readouterr()
+        assert main(["trace", "utdsp_fir_array", "--loop", "fir_n",
+                     "-o", store]) == 0
+        assert capsys.readouterr().out.startswith("wrote ")
+        assert main(["analyze-trace", store, "--source", src]) == 0
+        assert "100.0%" in capsys.readouterr().out
+
+    def test_analyze_trace_old_format_fails_cleanly(self, capsys, tmp_path):
+        old = tmp_path / "loop.vtrc"
+        old.write_bytes(b"VTRC" + bytes(12))
+        code = main(["analyze-trace", str(old), "--source",
+                     self._source(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "retired VTRC format" in err
+        assert "re-record it with `vectra trace`" in err
+
+    def test_analyze_trace_not_a_store_fails_cleanly(self, capsys,
+                                                     tmp_path):
+        code = main(["analyze-trace", str(tmp_path), "--source",
+                     self._source(tmp_path)])
+        assert code == 1
+        assert "not a trace store" in capsys.readouterr().err
+
+    def test_analyze_trace_missing_source_fails_cleanly(self, capsys,
+                                                        tmp_path):
+        store = str(tmp_path / "fir.vtrace")
+        assert main(["trace", "utdsp_fir_array", "--loop", "fir_n",
+                     "-o", store]) == 0
+        code = main(["analyze-trace", store, "--source",
+                     str(tmp_path / "missing.c")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "cannot read source" in err
 
 
 class TestBadParams:

@@ -1,7 +1,7 @@
 """Trace-replay compilation (:mod:`repro.interp.compile`).
 
 The contract under test is *bit-identity*: with the compiler on, every
-observable artifact — trace columns, serialized trace bytes, DDG, sink
+observable artifact — trace columns, trace-store bytes, DDG, sink
 stats, loop reports, profile counts, fuel accounting — must equal the
 step-interpreter run exactly, in both the in-RAM and spilled trace
 stores.  On top of that: kernel lifecycle (hotness threshold, caching,
@@ -19,7 +19,6 @@ from repro.interp.compile import REJECTED, LoopKernel, TraceCompiler
 from repro.interp.interpreter import Interpreter, run_and_trace
 from repro.obs import Telemetry, use_telemetry
 from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
-from repro.trace.serialize import write_trace
 
 STENCIL = """
 float A[64]; float B[64]; float C[64];
@@ -123,18 +122,19 @@ class TestBitIdentity:
         assert d2.addrs == d1.addrs and d2.mem_addrs == d1.mem_addrs
         assert len(s1.records) == len(s0.records)
 
-    def test_serialized_trace_bytes_identical(self):
-        import io
-
-        module0 = compile_source(BRANCHY)
-        module1 = compile_source(BRANCHY)
-        t0 = run_and_trace(module0, compile_loops=False)
-        t1 = run_and_trace(module1, compile_loops=True,
-                           compile_threshold=4)
-        b0, b1 = io.BytesIO(), io.BytesIO()
-        write_trace(t0, b0)
-        write_trace(t1, b1)
-        assert b0.getvalue() == b1.getvalue()
+    def test_serialized_trace_bytes_identical(self, tmp_path):
+        # What ``vectra trace`` writes: the manifest and every segment
+        # file byte for byte, compiled vs ``--no-compile``.
+        stores = []
+        for sub, compiled in (("step", False), ("comp", True)):
+            path = tmp_path / sub
+            run_and_trace(compile_source(BRANCHY), compile_loops=compiled,
+                          compile_threshold=4, spill_dir=str(path))
+            stores.append({f.name: f.read_bytes() for f in path.iterdir()})
+        step, comp = stores
+        assert "MANIFEST.json" in step
+        assert any(name.endswith(".vseg") for name in step)
+        assert step == comp
 
     def test_windowed_sink_identical(self):
         _, i0, s0, _ = _run(BRANCHY, False,

@@ -1,23 +1,26 @@
-"""Binary trace serialization round-trip tests."""
+"""The on-disk trace format: the segment store ``vectra trace`` writes.
 
-import io
+A trace recorded to disk (``run_and_trace(..., spill_dir=DIR)``, which
+is what ``vectra trace -o DIR`` calls) must read back record for record
+and field for field, and a damaged store must fail with a
+:class:`TraceError` on both the mmap and the buffered reader, never with
+a partial load or a raw numpy/struct exception.
+"""
+
+import json
+import os
 import struct
 
 import pytest
 
+from repro.ddg import build_ddg
 from repro.errors import TraceError
 from repro.frontend import compile_source
 from repro.interp import run_and_trace
-from repro.trace.events import DynInstr
-from repro.trace.serialize import (
-    MAGIC,
-    MAX_COUNT,
-    load_trace,
-    read_trace,
-    save_trace,
-    write_trace,
-)
-from repro.trace.trace import Trace
+from repro.trace.columnar import ColumnarSink
+from repro.trace.store import MANIFEST_NAME, SegmentedSink, open_store
+
+from tests.test_columnar import assert_ddgs_identical
 
 
 SRC = """
@@ -29,97 +32,12 @@ int main() {
 }
 """
 
+SEGMENT = "segment-00000.vseg"
+
 
 @pytest.fixture
 def module():
     return compile_source(SRC)
-
-
-def test_round_trip_preserves_all_fields(module):
-    trace = run_and_trace(module)
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    buf.seek(0)
-    back = read_trace(buf, module)
-    assert len(back) == len(trace)
-    for a, b in zip(trace.records, back.records):
-        assert a.node == b.node
-        assert a.sid == b.sid
-        assert int(a.opcode) == int(b.opcode)
-        assert a.loop_id == b.loop_id
-        assert tuple(a.deps) == tuple(b.deps)
-        assert tuple(a.addrs) == tuple(b.addrs)
-        assert a.addr == b.addr
-        assert a.store_addr == b.store_addr
-
-
-def test_round_trip_via_files(module, tmp_path):
-    trace = run_and_trace(module)
-    path = str(tmp_path / "t.vtrc")
-    save_trace(trace, path)
-    back = load_trace(path, module)
-    assert len(back) == len(trace)
-
-
-def test_spans_survive_round_trip(module):
-    trace = run_and_trace(module)
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    buf.seek(0)
-    back = read_trace(buf, module)
-    loop = module.loop_by_name("L")
-    assert len(back.loop_instances(loop.loop_id)) == 1
-
-
-def test_bad_magic_rejected(module):
-    with pytest.raises(TraceError):
-        read_trace(io.BytesIO(b"NOPE" + b"\x00" * 16), module)
-
-
-def test_truncated_header_rejected(module):
-    with pytest.raises(TraceError):
-        read_trace(io.BytesIO(b"VT"), module)
-
-
-def test_truncated_record_rejected(module):
-    trace = run_and_trace(module)
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    data = buf.getvalue()[: len(buf.getvalue()) - 7]
-    with pytest.raises(TraceError):
-        read_trace(io.BytesIO(data), module)
-
-
-def _synthetic_trace(module, dep_counts=(), addr_counts=()):
-    """Records with chosen dependence/address list lengths — the count
-    columns are what the u8→u16 format bump is about."""
-    n = max(len(dep_counts), len(addr_counts), 1)
-    records = []
-    for i in range(n):
-        nd = dep_counts[i] if i < len(dep_counts) else 0
-        na = addr_counts[i] if i < len(addr_counts) else 0
-        records.append(DynInstr(
-            node=i, sid=i + 1, opcode=3, loop_id=-1,
-            deps=tuple(range(nd)), addrs=tuple(8 * k for k in range(na)),
-            addr=i * 8, store_addr=i * 16,
-        ))
-    return Trace(module, records)
-
-
-def _v1_bytes(records):
-    """A handcrafted version-1 stream (u8 counts) for reader-compat
-    tests — the v2 writer can no longer produce one."""
-    out = bytearray(struct.pack("<4sIQ", MAGIC, 1, len(records)))
-    for rec in records:
-        out += struct.pack("<QIBiQQ", rec.node, rec.sid, int(rec.opcode),
-                           rec.loop_id, rec.addr, rec.store_addr)
-        out.append(len(rec.deps))
-        if rec.deps:
-            out += struct.pack(f"<{len(rec.deps)}q", *rec.deps)
-        out.append(len(rec.addrs))
-        if rec.addrs:
-            out += struct.pack(f"<{len(rec.addrs)}Q", *rec.addrs)
-    return bytes(out)
 
 
 def _assert_records_equal(a, b):
@@ -135,101 +53,174 @@ def _assert_records_equal(a, b):
         assert x.store_addr == y.store_addr
 
 
-@pytest.mark.parametrize("count", [0, 1, 254, 255, 256, 1000, MAX_COUNT])
-def test_v2_round_trip_at_count_boundaries(module, count):
-    """The u8 format died at 256; v2 must carry every count up to the
-    u16 limit — including the exact old and new boundaries."""
-    trace = _synthetic_trace(module, dep_counts=(count,),
-                             addr_counts=(0, count))
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    buf.seek(0)
-    back = read_trace(buf, module)
-    _assert_records_equal(trace.records, back.records)
+def _read_all(path, use_mmap):
+    """Everything a reader does with a store: open, remap, assemble."""
+    return open_store(path, use_mmap=use_mmap).to_ddg()
 
 
-@pytest.mark.parametrize("field", ["deps", "addrs"])
-def test_count_past_format_limit_names_the_record(module, field):
-    """One past the u16 limit: a TraceError naming the offending record,
-    not an opaque struct/bytearray ValueError."""
-    kwargs = {"dep_counts": (1, MAX_COUNT + 1)} if field == "deps" else {
-        "addr_counts": (1, MAX_COUNT + 1)}
-    trace = _synthetic_trace(module, **kwargs)
-    with pytest.raises(TraceError) as excinfo:
-        write_trace(trace, io.BytesIO())
-    message = str(excinfo.value)
-    assert "record 1" in message
-    assert str(MAX_COUNT + 1) in message
+def _synthetic(path, dep_counts=(), addr_counts=()):
+    """The same records through an in-RAM sink and a store at ``path``,
+    with chosen dependence/address list lengths.  Node ids start past
+    every dependence, so the producers are earlier nodes outside the
+    window (kept as records, dropped from the DDG), plus the previous
+    record when there is one."""
+    n = max(len(dep_counts), len(addr_counts), 1)
+    base = 1 << 17
+    ram, disk = ColumnarSink(), SegmentedSink(path)
+    for i in range(n):
+        nd = dep_counts[i] if i < len(dep_counts) else 0
+        na = addr_counts[i] if i < len(addr_counts) else 0
+        deps = tuple(range(nd - 1)) + ((base + i - 1,) if nd else ())
+        for sink in (ram, disk):
+            sink.emit(base + i, i + 1, 3, -1, deps,
+                      tuple(8 * k for k in range(na)), i * 8)
+    return ram, disk.finish()
 
 
-@pytest.mark.parametrize("count", [0, 1, 254, 255])
-def test_v1_reader_compat_at_u8_boundaries(module, count):
-    """The reader keeps decoding version-1 streams (u8 counts) across
-    the whole u8 range."""
-    trace = _synthetic_trace(module, dep_counts=(count,),
-                             addr_counts=(count, 3))
-    back = read_trace(io.BytesIO(_v1_bytes(trace.records)), module)
-    _assert_records_equal(trace.records, back.records)
+def _damage(store_dir, fn):
+    seg = os.path.join(store_dir, SEGMENT)
+    with open(seg, "rb") as fh:
+        data = fh.read()
+    with open(seg, "wb") as fh:
+        fh.write(fn(data))
+    return data
 
 
-def test_unknown_version_rejected(module):
-    data = struct.pack("<4sIQ", MAGIC, 3, 0)
-    with pytest.raises(TraceError, match="version 3"):
-        read_trace(io.BytesIO(data), module)
+def test_round_trip_preserves_all_fields(module, tmp_path):
+    ram = run_and_trace(module)
+    disk = run_and_trace(module, spill_dir=str(tmp_path / "t"))
+    assert len(disk) == len(ram)
+    _assert_records_equal(ram.records, disk.records)
 
 
-def test_trailing_bytes_rejected_with_offset(module):
-    """Corrupted/concatenated files used to load 'successfully'; now the
-    error reports how many bytes are left and where they start."""
-    trace = _synthetic_trace(module, dep_counts=(2, 0, 1))
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    clean = buf.getvalue()
-    with pytest.raises(TraceError) as excinfo:
-        read_trace(io.BytesIO(clean + b"\x00" * 7), module)
-    message = str(excinfo.value)
-    assert "7 trailing byte(s)" in message
-    assert f"offset {len(clean)}" in message
-    # Two concatenated streams: the second stream is the trailing junk.
-    with pytest.raises(TraceError, match="trailing"):
-        read_trace(io.BytesIO(clean + clean), module)
+def test_round_trip_via_files(module, tmp_path):
+    path = str(tmp_path / "t.vtrace")
+    ram = run_and_trace(module)
+    written = run_and_trace(module, spill_dir=path)
+    back = open_store(path).trace(module)
+    assert len(back) == len(written) == len(ram)
+    assert_ddgs_identical(build_ddg(ram), build_ddg(back))
 
 
-def test_truncation_at_every_offset_rejected(module):
-    """Fuzz: every strict prefix of a valid stream must raise TraceError
-    — never a partial load, never an uncaught struct/IndexError."""
-    trace = _synthetic_trace(module, dep_counts=(3, 0, 1),
-                             addr_counts=(0, 2, 257))
-    buf = io.BytesIO()
-    write_trace(trace, buf)
-    data = buf.getvalue()
-    for cut in range(len(data)):
-        with pytest.raises(TraceError):
-            read_trace(io.BytesIO(data[:cut]), module)
-    _assert_records_equal(
-        trace.records, read_trace(io.BytesIO(data), module).records
-    )
-
-
-def test_windowed_subtrace_round_trip(module):
-    """The buffered writer/reader preserve a windowed subtrace — the
-    collect-then-analyze artifact the CLI's ``trace`` command dumps —
-    field for field, markers included."""
+def test_spans_survive_round_trip(module, tmp_path):
+    path = str(tmp_path / "t")
+    run_and_trace(module, spill_dir=path)
+    back = open_store(path).trace(module)
     loop = module.loop_by_name("L")
-    trace = run_and_trace(module, loop=loop.loop_id, instances={0})
-    sub = trace.subtrace(loop.loop_id, 0)
-    buf = io.BytesIO()
-    write_trace(sub, buf)
-    buf.seek(0)
-    back = read_trace(buf, module)
-    assert len(back) == len(sub)
-    for a, b in zip(sub.records, back.records):
-        assert a.node == b.node
-        assert a.sid == b.sid
-        assert int(a.opcode) == int(b.opcode)
-        assert a.loop_id == b.loop_id
-        assert tuple(a.deps) == tuple(b.deps)
-        assert tuple(a.addrs) == tuple(b.addrs)
-        assert a.addr == b.addr
-        assert a.store_addr == b.store_addr
     assert len(back.loop_instances(loop.loop_id)) == 1
+
+
+def test_bad_magic_rejected(module, tmp_path):
+    path = str(tmp_path / "t")
+    run_and_trace(module, spill_dir=path)
+    _damage(path, lambda data: b"NOPE" + data[4:])
+    for use_mmap in (True, False):
+        with pytest.raises(TraceError, match="not a segment file"):
+            _read_all(path, use_mmap)
+    # A file in the retired VTRC format is named as such.
+    old = tmp_path / "old.vtrc"
+    old.write_bytes(b"VTRC" + struct.pack("<IQ", 2, 0))
+    with pytest.raises(TraceError, match="re-record"):
+        open_store(str(old))
+
+
+def test_truncated_header_rejected(module, tmp_path):
+    path = str(tmp_path / "t")
+    run_and_trace(module, spill_dir=path)
+    _damage(path, lambda data: data[:2])
+    for use_mmap in (True, False):
+        with pytest.raises(TraceError):
+            _read_all(path, use_mmap)
+    manifest = os.path.join(path, MANIFEST_NAME)
+    with open(manifest) as fh:
+        text = fh.read()
+    with open(manifest, "w") as fh:
+        fh.write(text[: len(text) // 2])
+    with pytest.raises(TraceError, match="manifest"):
+        open_store(path)
+
+
+def test_truncated_record_rejected(module, tmp_path):
+    path = str(tmp_path / "t")
+    run_and_trace(module, spill_dir=path)
+    _damage(path, lambda data: data[:-7])
+    for use_mmap in (True, False):
+        with pytest.raises(TraceError, match="truncated"):
+            _read_all(path, use_mmap)
+
+
+@pytest.mark.parametrize("count", [0, 1, 254, 255, 256, 1000, 65535, 65536])
+def test_round_trip_at_count_boundaries(tmp_path, count):
+    """Dependence and address counts round-trip at the u8 and u16
+    boundaries and past them: the store keeps counts as int32."""
+    ram, store = _synthetic(str(tmp_path / "t"), dep_counts=(count,),
+                            addr_counts=(0, count))
+    _assert_records_equal(ram.records, store.to_sink().records)
+    assert_ddgs_identical(ram.to_ddg(), store.to_ddg())
+
+
+def test_unknown_version_rejected(module, tmp_path):
+    path = str(tmp_path / "t")
+    run_and_trace(module, spill_dir=path)
+    data = _damage(path, lambda data: data[:4] + struct.pack("<I", 3)
+                   + data[8:])
+    with pytest.raises(TraceError, match="version 3"):
+        _read_all(path, True)
+    _damage(path, lambda _: data)
+    manifest = os.path.join(path, MANIFEST_NAME)
+    with open(manifest) as fh:
+        doc = json.load(fh)
+    doc["version"] = 3
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(TraceError, match="version 3"):
+        open_store(path)
+
+
+def test_trailing_bytes_rejected_with_offset(tmp_path):
+    """Bytes past the manifest's segment size mean a corrupted or
+    concatenated file; the error gives both sizes, so the offset the
+    junk starts at."""
+    path = str(tmp_path / "t")
+    _synthetic(path, dep_counts=(2, 0, 1))
+    clean = _damage(path, lambda data: data + b"\x00" * 7)
+    for use_mmap in (True, False):
+        with pytest.raises(TraceError) as excinfo:
+            _read_all(path, use_mmap)
+        message = str(excinfo.value)
+        assert "trailing" in message
+        assert f"{len(clean) + 7} bytes on disk" in message
+        assert f"manifest says {len(clean)}" in message
+    _damage(path, lambda _: clean + clean)
+    with pytest.raises(TraceError, match="trailing"):
+        _read_all(path, True)
+
+
+def test_truncation_at_every_offset_rejected(tmp_path):
+    """Fuzz: every strict prefix of a segment file must raise
+    TraceError on both readers — never a partial load, never an
+    uncaught IndexError from the mmap'd columns."""
+    path = str(tmp_path / "t")
+    ram, _ = _synthetic(path, dep_counts=(3, 0, 1),
+                        addr_counts=(0, 2, 257))
+    data = _damage(path, lambda data: data)
+    for cut in range(len(data)):
+        _damage(path, lambda _: data[:cut])
+        for use_mmap in (True, False):
+            with pytest.raises(TraceError):
+                _read_all(path, use_mmap)
+    _damage(path, lambda _: data)
+    for use_mmap in (True, False):
+        assert_ddgs_identical(ram.to_ddg(), _read_all(path, use_mmap))
+
+
+def test_windowed_subtrace_round_trip(module, tmp_path):
+    """A windowed loop instance — the artifact ``vectra trace`` writes —
+    reads back field for field, markers included."""
+    loop = module.loop_by_name("L")
+    ram = run_and_trace(module, loop=loop.loop_id, instances={0})
+    sub = ram.subtrace(loop.loop_id, 0)
+    disk = run_and_trace(module, loop=loop.loop_id, instances={0},
+                         spill_dir=str(tmp_path / "t"))
+    _assert_records_equal(sub.records, disk.records)
+    assert len(disk.loop_instances(loop.loop_id)) == 1

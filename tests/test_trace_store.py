@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.analysis.pipeline import analyze_loop
+from repro.analysis.pipeline import analyze_loop, windowed_loop_ddg
 from repro.analysis.timestamps import (
     batched_parallel_partitions,
     packed_scan_stream,
@@ -23,13 +23,14 @@ from repro.analysis.timestamps import (
 from repro.ddg.build import build_ddg
 from repro.errors import TraceError
 from repro.frontend import compile_source
-from repro.interp.interpreter import Interpreter
+from repro.interp.interpreter import DEFAULT_FUEL, Interpreter, run_and_trace
 from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
 from repro.trace.store import (
     MANIFEST_NAME,
     SegmentedLoopSink,
     SegmentedSink,
     SegmentStore,
+    open_store,
 )
 
 from tests.test_columnar import assert_ddgs_identical, random_kernel
@@ -275,6 +276,126 @@ def test_open_rejects_non_store_directories(tmp_path):
     (bad / MANIFEST_NAME).write_text(json.dumps({"schema": "nope"}))
     with pytest.raises(TraceError, match="schema"):
         SegmentStore(str(bad))
+
+
+def _edit_manifest(path, edit):
+    manifest = os.path.join(path, MANIFEST_NAME)
+    with open(manifest) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(manifest, "w") as fh:
+        json.dump(doc, fh)
+
+
+def test_truncated_segment_rejected_on_mmap_path(tmp_path):
+    """A short segment used to reach the mmap'd columns and die with a
+    numpy IndexError; the section reads that build the remap context
+    used to decode short data silently."""
+    _, _, _, store = _window_pair(0, tmp_path)
+    seg = os.path.join(store.path, store.segments[1]["file"])
+    size = os.path.getsize(seg)
+    with open(seg, "r+b") as fh:
+        fh.truncate(size - 8)
+    fresh = SegmentStore(store.path)
+    with pytest.raises(TraceError, match="truncated"):
+        fresh.load(1)
+    first = os.path.join(store.path, store.segments[0]["file"])
+    assert store.segments[0]["sections"]["run_nodes"][1] > 0
+    with open(first, "r+b") as fh:
+        fh.truncate(16)
+    with pytest.raises(TraceError, match="truncated section"):
+        SegmentStore(store.path).context()
+    with pytest.raises(TraceError):
+        SegmentStore(store.path).to_ddg()
+
+
+def test_manifest_file_outside_store_rejected(tmp_path):
+    """The manifest may only name segment files inside the store."""
+    _, _, _, store = _window_pair(0, tmp_path)
+    first = os.path.join(store.path, store.segments[0]["file"])
+    with open(first, "rb") as fh:
+        (tmp_path / "outside.bin").write_bytes(fh.read())
+    for name in ("../outside.bin", str(tmp_path / "outside.bin"),
+                 "segment-0.vseg"):
+        _edit_manifest(store.path,
+                       lambda doc: doc["segments"][0].update(file=name))
+        with pytest.raises(TraceError, match="segment-NNNNN.vseg"):
+            SegmentStore(store.path)
+
+
+def test_manifest_missing_key_rejected(tmp_path):
+    """Every key a reader path uses is checked up front: a missing one
+    is a TraceError naming it, never a KeyError."""
+    _, _, _, store = _window_pair(0, tmp_path)
+    clean = dict(store.manifest)
+    top = ["rows", "markers", "segments"]
+    per_segment = ["file", "row0", "rows", "markers", "markers_before",
+                   "bytes", "sections", "store_patches"]
+    for key in top + per_segment:
+        def drop(doc, key=key):
+            doc.clear()
+            doc.update(json.loads(json.dumps(clean)))
+            target = doc if key in top else doc["segments"][1]
+            del target[key]
+
+        _edit_manifest(store.path, drop)
+        with pytest.raises(TraceError, match=repr(key)):
+            SegmentStore(store.path)
+
+
+def test_manifest_inconsistent_layout_rejected(tmp_path):
+    """Sections past a segment's end and segments that do not tile the
+    rows are refused before any column is read."""
+    _, _, _, store = _window_pair(0, tmp_path)
+    seg_bytes = store.segments[0]["bytes"]
+    _edit_manifest(store.path, lambda doc: doc["segments"][0]["sections"]
+                   .update(dep_flat=[seg_bytes, 1]))
+    with pytest.raises(TraceError, match="outside the segment"):
+        SegmentStore(store.path)
+    _edit_manifest(store.path, lambda doc: doc["segments"][0]["sections"]
+                   .update(dep_flat=store.segments[0]["sections"]
+                           ["dep_flat"]))
+    SegmentStore(store.path)
+    _edit_manifest(store.path,
+                   lambda doc: doc["segments"][1].update(row0=0))
+    with pytest.raises(TraceError, match="starts at row 0"):
+        SegmentStore(store.path)
+
+
+def test_corrupt_column_values_rejected(tmp_path):
+    """A correctly sized segment whose row keys point outside it is
+    refused when loaded, on both readers."""
+    _, _, _, store = _window_pair(0, tmp_path)
+    meta = next(m for m in store.segments if m["markers"])
+    off, _ = meta["sections"]["marker_rows"]
+    with open(os.path.join(store.path, meta["file"]), "r+b") as fh:
+        fh.seek(off)
+        fh.write((10 ** 9).to_bytes(8, "little", signed=True))
+    for use_mmap in (True, False):
+        fresh = SegmentStore(store.path, use_mmap=use_mmap)
+        with pytest.raises(TraceError, match="marker_rows"):
+            fresh.load(store.segments.index(meta))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_offline_trace_matches_windowed_ddg(seed, tmp_path):
+    """``trace`` then ``analyze-trace``: the DDG read back from the
+    recorded store is bit-identical to the fused windowed DDG that
+    ``analyze`` builds for the same loop and instance."""
+    module = compile_source(random_kernel(seed))
+    if seed % 2:
+        loop_name, instance = "red", 0
+    else:
+        loop_name, instance = ("outer", 0) if seed % 4 == 0 else ("innr", 1)
+    info = module.loop_by_name(loop_name)
+    path = str(tmp_path / "t.vtrace")
+    run_and_trace(module, "main", loop=info.loop_id, instances={instance},
+                  spill_dir=path)
+    offline = build_ddg(open_store(path).trace(module))
+    windowed, _ = windowed_loop_ddg(module, info.loop_id, loop_name,
+                                    "main", (), instance, DEFAULT_FUEL)
+    assert len(offline) > 0
+    assert_ddgs_identical(windowed, offline)
 
 
 def test_buffered_reader_matches_mmap(tmp_path):
