@@ -72,13 +72,13 @@ def run_figure1(n):
 def run_figure2(n):
     module = compile_source(LISTING2.format(n=n))
     loop = module.loop_by_name("L")
-    trace = run_and_trace(module, loop=loop.loop_id)
-    sub = trace.subtrace(loop.loop_id, 0)
-    ddg = build_ddg(sub)
-    out = {"larus": larus_loop_parallelism(sub, ddg, loop.loop_id)}
+    window = run_and_trace(module, loop=loop.loop_id, instances={0})
+    ddg = build_ddg(window)
+    iters = window.node_iterations(loop.loop_id)
+    out = {"larus": larus_loop_parallelism(iters, ddg, loop.loop_id)}
     for idx, sid in enumerate(_fmul_sids(module, ddg)):
         out[f"larus_s{idx + 1}"] = larus_partitions(
-            sub, ddg, loop.loop_id, sid
+            iters, ddg, loop.loop_id, sid
         )
         out[f"ours_s{idx + 1}"] = parallel_partitions(ddg, sid)
     return out

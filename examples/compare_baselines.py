@@ -82,15 +82,15 @@ def figure2() -> None:
     print(f"== Figure 2 (Listing 2, N={N}) ==")
     module = compile_source(LISTING2)
     loop = module.loop_by_name("L")
-    trace = run_and_trace(module, loop=loop.loop_id)
-    sub = trace.subtrace(loop.loop_id, 0)
-    ddg = build_ddg(sub)
-    result = larus_loop_parallelism(sub, ddg, loop.loop_id)
+    window = run_and_trace(module, loop=loop.loop_id, instances={0})
+    ddg = build_ddg(window)
+    iters = window.node_iterations(loop.loop_id)
+    result = larus_loop_parallelism(iters, ddg, loop.loop_id)
     print(f"Larus loop-level parallelism: {result.parallelism:.2f} "
           "(iterations chained by the S2 -> S1 dependence)")
     for sid in fmul_sids(module, ddg):
         line = module.instruction(sid).line
-        larus = larus_partitions(sub, ddg, loop.loop_id, sid)
+        larus = larus_partitions(iters, ddg, loop.loop_id, sid)
         ours = parallel_partitions(ddg, sid)
         print(f"  stmt at line {line}: Larus groups {sizes(larus)} vs "
               f"Algorithm 1 {sizes(ours)}")

@@ -11,8 +11,9 @@ loop body means dependence-preserving reorderings (e.g. distributing the
 loop) are never explored, so vectorization potential is under-reported —
 the motivation for Algorithm 1.
 
-Input here is one loop's subtrace (markers included, so iteration
-boundaries are known) plus the DDG built from it.
+Input here is one loop's DDG plus the iteration each of its nodes
+belongs to, read off the window's loop markers
+(:meth:`~repro.trace.columnar.ColumnarSink.node_iterations`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Dict, List
 
 from repro.ddg.graph import DDG
 from repro.errors import AnalysisError
-from repro.trace.trace import Trace
 
 
 @dataclass
@@ -43,23 +43,19 @@ class LoopParallelismResult:
 
 
 def larus_loop_parallelism(
-    subtrace: Trace, ddg: DDG, loop_id: int
+    node_iter: List[int], ddg: DDG, loop_id: int
 ) -> LoopParallelismResult:
     """Simulate Larus's concurrent-iterations model over one loop instance.
 
-    Every non-marker record is one unit of work.  ``finish[i]`` is the
-    time step node i completes: one after both the previous instruction of
-    the same iteration and all of its DDG producers have completed.
+    ``node_iter[i]`` is the iteration DDG node i belongs to.  Every node
+    is one unit of work.  ``finish[i]`` is the time step node i
+    completes: one after both the previous instruction of the same
+    iteration and all of its DDG producers have completed.
     """
-    iters = subtrace.iteration_numbers(loop_id)
-    # Map trace records to DDG node indices (markers are not DDG nodes).
-    node_iter: List[int] = []
-    for rec, itn in zip(subtrace.records, iters):
-        if not rec.is_marker:
-            node_iter.append(itn)
     if len(node_iter) != len(ddg):
         raise AnalysisError(
-            "subtrace and DDG disagree; build the DDG from this subtrace"
+            "iteration labels and DDG disagree; take both from the same "
+            "window"
         )
     finish = [0] * len(ddg)
     last_in_iter: Dict[int, int] = {}
@@ -88,11 +84,11 @@ def larus_loop_parallelism(
 
 
 def larus_partitions(
-    subtrace: Trace, ddg: DDG, loop_id: int, target_sid: int
+    node_iter: List[int], ddg: DDG, loop_id: int, target_sid: int
 ) -> Dict[int, List[int]]:
     """Group one instruction's instances by Larus finish time — the
     partitioning Fig. 2(b) illustrates."""
-    result = larus_loop_parallelism(subtrace, ddg, loop_id)
+    result = larus_loop_parallelism(node_iter, ddg, loop_id)
     out: Dict[int, List[int]] = {}
     for i, sid in enumerate(ddg.sids):
         if sid == target_sid:

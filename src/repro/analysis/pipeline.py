@@ -36,7 +36,6 @@ from typing import List, Optional, Sequence
 
 from repro.analysis.metrics import loop_metrics
 from repro.analysis.report import BenchmarkReport, LoopReport
-from repro.ddg.build import build_ddg
 from repro.errors import AnalysisError
 from repro.frontend import parse_source
 from repro.frontend.driver import compile_source
@@ -71,7 +70,6 @@ _log = get_logger("pipeline")
 __all__ = [
     "compile_source",
     "run_and_trace",
-    "select_instance_subtrace",
     "analyze_loop",
     "analyze_module",
     "analyze_program",
@@ -81,40 +79,17 @@ __all__ = [
 ]
 
 
-def select_instance_subtrace(trace, loop_id: int, loop_name: str,
-                             instance: int):
-    """The subtrace of the one loop instance a windowed trace recorded.
-
-    A trace collected with ``instances={instance}`` contains exactly one
-    span of ``loop_id`` — the requested instance, renumbered 0 by the
-    window filter.  Select it explicitly: no recorded span means the
-    requested instance never executed; more than one means the window
-    filter misbehaved, and silently taking span 0 would analyze the wrong
-    iteration.
-    """
-    spans = trace.loop_instances(loop_id)
-    if not spans:
-        raise AnalysisError(
-            f"loop {loop_name!r} instance {instance} never executed"
-        )
-    if len(spans) != 1:
-        raise AnalysisError(
-            f"loop {loop_name!r}: expected one recorded span for instance "
-            f"{instance}, found {len(spans)}"
-        )
-    return trace.subtrace(loop_id, 0)
-
-
 def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
-                      entry: str, args: Sequence, instance: int,
-                      fuel: int, tel=None, spill_dir: Optional[str] = None,
+                      entry: str = "main", args: Sequence = (),
+                      instance: int = 0, fuel: int = DEFAULT_FUEL, tel=None,
+                      spill_dir: Optional[str] = None,
                       segment_rows: Optional[int] = None, jobs: int = 1,
                       compile_loops: bool = True,
                       compile_threshold: Optional[int] = None):
     """Fused trace→DDG for one loop instance: the windowed re-run streams
     into columnar storage and the DDG drops out without materializing a
-    record list (the same validation as :func:`select_instance_subtrace`,
-    off the sink's span counter).
+    record list.  The window must hold exactly one span of the loop
+    (:meth:`~repro.trace.columnar.ColumnarLoopSink.require_one_span`).
 
     With ``spill_dir`` set the window streams through a
     :class:`~repro.trace.store.SegmentedLoopSink` instead — full segments
@@ -157,15 +132,7 @@ def windowed_loop_ddg(module: Module, loop_id: int, loop_name: str,
         tel.count("trace.markers", stats["markers"])
         tel.count("trace.backpatches", stats["backpatches"])
         tel.count("trace.spans_recorded", sink.spans_recorded)
-    if sink.spans_recorded == 0:
-        raise AnalysisError(
-            f"loop {loop_name!r} instance {instance} never executed"
-        )
-    if sink.spans_recorded != 1:
-        raise AnalysisError(
-            f"loop {loop_name!r}: expected one recorded span for instance "
-            f"{instance}, found {sink.spans_recorded}"
-        )
+    sink.require_one_span(loop_name, instance)
     if spill_dir:
         store = sink.finish()
         with tel.span("ddg.build"):

@@ -37,13 +37,7 @@ from repro.ir.module import Module
 from repro.ir.types import FloatType, IntType, PointerType
 from repro.ir.values import Constant, GlobalRef, VirtualReg
 from repro.runtime.memory import Memory, default_value
-from repro.trace.columnar import (
-    ColumnarLoopSink,
-    ColumnarSink,
-    ColumnarTrace,
-)
-from repro.trace.sinks import LoopWindowSink, RecordingSink
-from repro.trace.trace import Trace
+from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
 
 _OP_ADD = Opcode.ADD
 _OP_SUB = Opcode.SUB
@@ -145,13 +139,10 @@ class Interpreter:
         self._layout_globals()
         #: trace-replay compiler (:mod:`repro.interp.compile`): hot loop
         #: bodies specialize into batch kernels that emit trace records
-        #: wholesale.  Requires a sink with the bulk-append write path
-        #: (or no sink at all — profile runs batch too); the legacy
-        #: object-per-record sinks fall back to pure stepping.
+        #: wholesale through the sink's bulk-append write path (profile
+        #: runs, with no sink, batch too).
         self._compiler = None
-        if compile_loops and (
-            sink is None or hasattr(sink, "bulk_append")
-        ):
+        if compile_loops:
             self._compiler = TraceCompiler(self, compile_threshold)
         # One check at construction, zero per-record cost: the sampling
         # profiler resolves (loop id, sid) samples against this module
@@ -207,14 +198,6 @@ class Interpreter:
     def executed_instructions(self) -> int:
         return self._executed
 
-    def trace(self) -> Trace:
-        """The collected trace (requires a recording sink)."""
-        if self.sink is None:
-            raise InterpError("interpreter was run without a trace sink")
-        if isinstance(self.sink, ColumnarSink):
-            return ColumnarTrace(self.module, self.sink)
-        return Trace(self.module, self.sink.records)
-
     # -- the dispatch loop -----------------------------------------------------
 
     def _exec_function(self, fn, args: List[Tuple]) -> Tuple:
@@ -222,7 +205,7 @@ class Interpreter:
         mem = memory.data
         sink = self.sink
         # One bound-method hoist serves every record: emit() takes plain
-        # scalars, so tracing allocates no DynInstr on the hot path.
+        # scalars, so tracing allocates no record object on the hot path.
         sink_emit = sink.emit if sink is not None else None
         counts = self.op_counts
         module = self.module
@@ -684,26 +667,24 @@ def run_and_trace(
     loop: Optional[int] = None,
     instances: Optional[set] = None,
     fuel: int = DEFAULT_FUEL,
-    columnar: bool = True,
     tel=None,
     compile_loops: bool = True,
     compile_threshold: Optional[int] = None,
     spill_dir: Optional[str] = None,
-) -> Trace:
-    """Execute a module and collect a trace.
+):
+    """Execute a module and record its trace into flat columns.
 
-    With ``loop`` set, only records inside that loop id are retained (the
-    paper's per-loop subtrace); ``instances`` optionally narrows to chosen
-    dynamic instances of the loop.
-
-    By default the trace is collected into flat columns
-    (:class:`~repro.trace.columnar.ColumnarSink`) and returned as a
-    :class:`~repro.trace.columnar.ColumnarTrace` — ``records`` stay
-    available as a lazy view, and DDG construction takes the fused fast
-    path.  ``spill_dir`` writes the same columns to a segment store in
-    that directory instead (the ``vectra trace`` file format) and returns
-    a :class:`~repro.trace.store.StoredTrace` over it.  ``columnar=False``
-    forces the legacy object-per-record sinks.
+    Returns the :class:`~repro.trace.columnar.ColumnarSink` — or, with
+    ``loop`` set, the :class:`~repro.trace.columnar.ColumnarLoopSink`
+    holding only records inside that loop id (the paper's per-loop
+    subtrace); ``instances`` optionally narrows the window to chosen
+    dynamic instances of the loop.  A window over one chosen instance
+    must record exactly one span of it, or :class:`AnalysisError`
+    names the loop and instance.  ``spill_dir`` writes the same columns
+    to a segment store in that directory instead (the ``vectra trace``
+    file format) and returns the finished
+    :class:`~repro.trace.store.SegmentStore`; the span check runs
+    before the store's manifest is written.
     """
     if tel is None:
         tel = get_telemetry()
@@ -712,13 +693,9 @@ def run_and_trace(
 
         sink = (SegmentedSink(spill_dir) if loop is None
                 else SegmentedLoopSink(loop, instances, spill_dir=spill_dir))
-    elif columnar:
+    else:
         sink = (ColumnarSink() if loop is None
                 else ColumnarLoopSink(loop, instances))
-    elif loop is None:
-        sink = RecordingSink()
-    else:
-        sink = LoopWindowSink(loop, instances)
     interp = Interpreter(module, sink=sink, fuel=fuel,
                          compile_loops=compile_loops,
                          compile_threshold=compile_threshold)
@@ -729,19 +706,16 @@ def run_and_trace(
                   hist=loop is not None):
         interp.run(entry, args)
     if tel.enabled:
+        stats = sink.stats()
         tel.count("interp.runs")
         tel.count("interp.instructions", interp.executed_instructions)
-        if isinstance(sink, ColumnarSink):
-            stats = sink.stats()
-            tel.count("trace.records.kept", stats["rows"])
-            tel.count("trace.records.filtered",
-                      interp.executed_instructions - stats["rows"])
-            tel.count("trace.markers", stats["markers"])
-            tel.count("trace.backpatches", stats["backpatches"])
-        else:
-            tel.count("trace.records.kept", len(sink.records))
+        tel.count("trace.records.kept", stats["rows"])
+        tel.count("trace.records.filtered",
+                  interp.executed_instructions - stats["rows"])
+        tel.count("trace.markers", stats["markers"])
+        tel.count("trace.backpatches", stats["backpatches"])
+    if loop is not None and instances is not None and len(instances) == 1:
+        sink.require_one_span(module.loops[loop].name, *instances)
     if spill_dir:
-        return sink.finish().trace(module)
-    if columnar:
-        return ColumnarTrace(module, sink)
-    return Trace(module, sink.records)
+        return sink.finish()
+    return sink

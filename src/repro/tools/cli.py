@@ -164,22 +164,36 @@ def _cmd_speedup(args) -> int:
     return 0
 
 
+def _record_window(args, workload, module, loop_name: str,
+                   instance: int = 0, spill_dir=None):
+    """Resolve ``loop_name`` in the compiled ``module`` and record the
+    window of one of its instances: ``(loop info, window)``, where the
+    window is the columnar sink, or the finished trace store when
+    ``spill_dir`` is set.  ``run_and_trace`` requires the window to
+    hold exactly one span of the loop, so an instance that never ran
+    fails by name."""
+    from repro.interp import run_and_trace
+
+    info = module.loop_by_name(loop_name)
+    if info is None:
+        raise VectraError(f"no loop named {loop_name!r}")
+    window = run_and_trace(module, workload.entry, loop=info.loop_id,
+                           instances={instance}, spill_dir=spill_dir,
+                           **_run_opts(args))
+    return info, window
+
+
 def _cmd_vlength(args) -> int:
     from repro.analysis.vlength import vector_length_profile
     from repro.ddg import build_ddg
-    from repro.interp import run_and_trace
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
     module = workload.compile()
     loops = [args.loop] if args.loop else workload.analyze_loops
     for loop_name in loops:
-        info = module.loop_by_name(loop_name)
-        if info is None:
-            raise VectraError(f"no loop named {loop_name!r}")
-        trace = run_and_trace(module, workload.entry, loop=info.loop_id,
-                              instances={0}, **_run_opts(args))
-        ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+        _, window = _record_window(args, workload, module, loop_name)
+        ddg = build_ddg(window)
         profile = vector_length_profile(ddg, module, loop_name)
         print(profile.table())
         print()
@@ -215,18 +229,13 @@ def _cmd_opportunities(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.interp import run_and_trace
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
     module = workload.compile()
-    info = module.loop_by_name(args.loop)
-    if info is None:
-        raise VectraError(f"no loop named {args.loop!r}")
-    trace = run_and_trace(module, workload.entry, loop=info.loop_id,
-                          instances={args.instance}, spill_dir=args.output,
-                          **_run_opts(args))
-    print(f"wrote {len(trace)} records to {args.output}")
+    _, store = _record_window(args, workload, module, args.loop,
+                              args.instance, spill_dir=args.output)
+    print(f"wrote {len(store)} records to {args.output}")
     return 0
 
 
@@ -241,7 +250,7 @@ def _cmd_analyze_trace(args) -> int:
 
     store = open_store(args.trace)
     module = compile_source(_read_source(args.source), args.source)
-    ddg = build_ddg(store.trace(module))
+    ddg = build_ddg(store)
     report = loop_metrics(ddg, module, args.trace,
                           include_integer=args.integer)
     print(LoopReport.header())
@@ -260,22 +269,17 @@ def _cmd_baselines(args) -> int:
     )
     from repro.analysis.candidates import candidate_sids
     from repro.ddg import build_ddg
-    from repro.interp import run_and_trace
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
     module = workload.compile()
     loop_name = args.loop or workload.analyze_loops[0]
-    info = module.loop_by_name(loop_name)
-    if info is None:
-        raise VectraError(f"no loop named {loop_name!r}")
-    trace = run_and_trace(module, workload.entry, loop=info.loop_id,
-                          instances={0}, **_run_opts(args))
-    sub = trace.subtrace(info.loop_id, 0)
-    ddg = build_ddg(sub)
+    info, window = _record_window(args, workload, module, loop_name)
+    ddg = build_ddg(window)
 
     profile = kumar_profile(ddg, weights="candidates")
-    larus = larus_loop_parallelism(sub, ddg, info.loop_id)
+    larus = larus_loop_parallelism(window.node_iterations(info.loop_id),
+                                   ddg, info.loop_id)
     print(f"loop {loop_name}: {len(ddg)} DDG nodes")
     print(f"  Kumar critical path (FP ops):   {profile.critical_path}")
     print(f"  Kumar average parallelism:      "
@@ -294,17 +298,12 @@ def _cmd_dot(args) -> int:
     from repro.analysis.timestamps import compute_timestamps
     from repro.ddg import build_ddg
     from repro.ddg.dot import ddg_to_dot
-    from repro.interp import run_and_trace
     from repro.workloads import get_workload
 
     workload = get_workload(args.workload)
     module = workload.compile(**_parse_params(args.param))
-    info = module.loop_by_name(args.loop)
-    if info is None:
-        raise VectraError(f"no loop named {args.loop!r}")
-    trace = run_and_trace(module, workload.entry, loop=info.loop_id,
-                          instances={0}, **_run_opts(args))
-    ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+    _, window = _record_window(args, workload, module, args.loop)
+    ddg = build_ddg(window)
     highlight = None
     timestamps = None
     if args.highlight_line is not None:

@@ -1,34 +1,24 @@
-"""Dynamic execution traces: records, containers, sinks, segment stores."""
+"""Dynamic execution traces: columnar sinks and segment stores."""
 
-from repro.trace.events import DynInstr, MARKER_ENTER, MARKER_NEXT, MARKER_EXIT
-from repro.trace.trace import Trace, LoopSpan
-from repro.trace.sinks import RecordingSink, LoopWindowSink
-from repro.trace.columnar import ColumnarLoopSink, ColumnarSink, ColumnarTrace
+from repro.trace.events import MARKER_ENTER, MARKER_NEXT, MARKER_EXIT
+from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
 from repro.trace.store import (
     DEFAULT_SEGMENT_ROWS,
     SegmentedLoopSink,
     SegmentedSink,
     SegmentStore,
-    StoredTrace,
     open_store,
 )
 
 __all__ = [
-    "DynInstr",
     "MARKER_ENTER",
     "MARKER_NEXT",
     "MARKER_EXIT",
-    "Trace",
-    "LoopSpan",
-    "RecordingSink",
-    "LoopWindowSink",
     "ColumnarSink",
     "ColumnarLoopSink",
-    "ColumnarTrace",
     "DEFAULT_SEGMENT_ROWS",
     "SegmentedSink",
     "SegmentedLoopSink",
     "SegmentStore",
-    "StoredTrace",
     "open_store",
 ]

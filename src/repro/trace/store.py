@@ -60,11 +60,12 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import TraceError
 from repro.obs import get_logger, get_status_bus, get_telemetry, pool_heartbeat
-from repro.trace.columnar import ColumnarLoopSink, ColumnarSink, _np
+from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
 from repro.trace.events import MARKER_ENTER
-from repro.trace.trace import Trace
 
 _log = get_logger("trace_store")
 
@@ -394,7 +395,6 @@ class SegmentedSink(ColumnarSink):
         del self.runs[:]
         del self.loop_breaks[:]
         del self.marker_rows[:]
-        self._records = None
 
     # -- finalize ----------------------------------------------------------
 
@@ -459,19 +459,12 @@ class SegmentedSink(ColumnarSink):
             "runs": totals["runs"] + len(self.runs),
         }
 
-    # -- disabled in-RAM conveniences --------------------------------------
+    # -- disabled in-RAM convenience --------------------------------------
 
     def to_ddg(self):
         raise TraceError(
             "SegmentedSink spills columns to disk; call finish() and use "
             "SegmentStore.to_ddg() instead"
-        )
-
-    @property
-    def records(self):
-        raise TraceError(
-            "SegmentedSink spills columns to disk; call finish() and use "
-            "SegmentStore.to_sink().records instead"
         )
 
 
@@ -493,6 +486,7 @@ class SegmentedLoopSink(SegmentedSink):
     # The window logic is byte-for-byte the columnar sink's.
     _wanted = ColumnarLoopSink._wanted
     on_marker = ColumnarLoopSink.on_marker
+    require_one_span = ColumnarLoopSink.require_one_span
 
 
 def _claim_store_dir(path: str) -> None:
@@ -629,10 +623,8 @@ def _bounds(col) -> Tuple[int, int, int]:
     """(min, max, sum) of a typed column; (0, -1, 0) when empty."""
     if not len(col):
         return 0, -1, 0
-    if _np is not None:
-        a = _np.asarray(col)
-        return int(a.min()), int(a.max()), int(a.sum())
-    return min(col), max(col), sum(col)
+    a = np.asarray(col)
+    return int(a.min()), int(a.max()), int(a.sum())
 
 
 def _check_columns(seg: "SegmentData", path: str) -> None:
@@ -840,12 +832,12 @@ class SegmentStore:
                                       run_ends)
         return self._ctx
 
-    # -- full materialization (compat / validation) ------------------------
+    # -- full materialization (validation) ---------------------------------
 
     def to_sink(self) -> ColumnarSink:
         """Reassemble the full in-RAM :class:`ColumnarSink` — the exact
-        columns an unspilled run would hold.  This is the compat and
-        validation path; it deliberately pays the full-RAM cost."""
+        columns an unspilled run would hold.  This is the validation
+        path; it deliberately pays the full-RAM cost."""
         sink = ColumnarSink()
         for seg in self.iter_segments():
             row0 = seg.row0
@@ -881,9 +873,6 @@ class SegmentStore:
             sink._last_loop = sink.loop_breaks[-1][1]
         return sink
 
-    def trace(self, module) -> "StoredTrace":
-        return StoredTrace(module, self)
-
     # -- streaming DDG assembly --------------------------------------------
 
     def _chunk(self, seg: SegmentData, ctx: _StoreContext) -> DDGChunk:
@@ -894,11 +883,6 @@ class SegmentStore:
         marker filtering, same out-of-window dependence drops, same
         sorted-unique predecessor lists.
         """
-        if _np is not None:
-            return self._chunk_numpy(seg, ctx)
-        return self._chunk_python(seg, ctx)
-
-    def _chunk_numpy(self, seg: SegmentData, ctx: _StoreContext) -> DDGChunk:
         meta = seg.meta
         row0 = meta["row0"]
         n_rows = meta["rows"]
@@ -921,29 +905,29 @@ class SegmentStore:
         # Dependence remap: node id -> absolute row (via runs) -> global
         # DDG index (subtract preceding markers), -1 when out of window
         # or pointing at a marker.
-        df = _np.frombuffer(seg.dep_flat, dtype=_np.int64).astype(
-            _np.int64, copy=False
+        df = np.frombuffer(seg.dep_flat, dtype=np.int64).astype(
+            np.int64, copy=False
         )
         if df.size:
-            rn = _np.frombuffer(ctx.run_nodes, dtype=_np.int64)
-            rr = _np.frombuffer(ctx.run_rows, dtype=_np.int64)
-            rend = _np.frombuffer(ctx.run_ends, dtype=_np.int64)
-            mk = _np.frombuffer(ctx.marker_rows, dtype=_np.int64)
-            j = _np.searchsorted(rn, df, side="right") - 1
-            jc = _np.maximum(j, 0)
+            rn = np.frombuffer(ctx.run_nodes, dtype=np.int64)
+            rr = np.frombuffer(ctx.run_rows, dtype=np.int64)
+            rend = np.frombuffer(ctx.run_ends, dtype=np.int64)
+            mk = np.frombuffer(ctx.marker_rows, dtype=np.int64)
+            j = np.searchsorted(rn, df, side="right") - 1
+            jc = np.maximum(j, 0)
             rows = df - rn[jc] + rr[jc]
             valid = (j >= 0) & (rows < rend[jc])
-            k = _np.searchsorted(mk, rows, side="right")
-            at_marker = _np.zeros(df.shape, dtype=bool)
+            k = np.searchsorted(mk, rows, side="right")
+            at_marker = np.zeros(df.shape, dtype=bool)
             has_before = k > 0
             at_marker[has_before] = mk[k[has_before] - 1] == rows[has_before]
-            mapped = _np.where(valid & ~at_marker, rows - k, -1)
+            mapped = np.where(valid & ~at_marker, rows - k, -1)
         else:
             mapped = df
 
-        counts = _np.frombuffer(seg.dep_counts, dtype=_np.intc)
+        counts = np.frombuffer(seg.dep_counts, dtype=np.intc)
         stride = self.n_nodes + 2
-        key = _np.repeat(_np.arange(n_rows, dtype=_np.int64), counts)
+        key = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
         key *= stride
         key += mapped
         key += 1
@@ -953,81 +937,27 @@ class SegmentStore:
         smapped -= 1
         m = key.shape[0]
         if m:
-            keep = _np.empty(m, dtype=bool)
+            keep = np.empty(m, dtype=bool)
             keep[0] = True
-            _np.not_equal(key[1:], key[:-1], out=keep[1:])
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
             keep &= smapped >= 0
             kept = smapped[keep]
-            row_counts = _np.bincount(srid[keep], minlength=n_rows)
+            row_counts = np.bincount(srid[keep], minlength=n_rows)
         else:
             kept = smapped
-            row_counts = _np.zeros(n_rows, dtype=_np.int64)
+            row_counts = np.zeros(n_rows, dtype=np.int64)
 
-        mask = _np.ones(n_rows, dtype=bool)
+        mask = np.ones(n_rows, dtype=bool)
         if len(local_markers):
-            mask[_np.frombuffer(local_markers, dtype=_np.int64)] = False
-        offsets = _np.empty(n_out + 1, dtype=_np.int64)
+            mask[np.frombuffer(local_markers, dtype=np.int64)] = False
+        offsets = np.empty(n_out + 1, dtype=np.int64)
         offsets[0] = 0
-        _np.cumsum(row_counts[mask], out=offsets[1:])
+        np.cumsum(row_counts[mask], out=offsets[1:])
         indices_arr = array("q")
-        indices_arr.frombytes(kept.astype(_np.int64, copy=False).tobytes())
+        indices_arr.frombytes(kept.astype(np.int64, copy=False).tobytes())
         offsets_arr = array("q")
         offsets_arr.frombytes(offsets.tobytes())
 
-        out_addrs, out_store, out_mem = self._scatter_sparse(
-            seg, local_markers, n_out
-        )
-        return DDGChunk(node0_out, out_sids, out_ops, out_addrs, out_store,
-                        out_mem, indices_arr, offsets_arr)
-
-    def _chunk_python(self, seg: SegmentData, ctx: _StoreContext) -> DDGChunk:
-        meta = seg.meta
-        row0 = meta["row0"]
-        n_rows = meta["rows"]
-        node0_out = row0 - meta["markers_before"]
-        local_markers = list(seg.marker_rows)
-        marker_set = set(local_markers)
-        mk = ctx.marker_rows
-        run_nodes = ctx.run_nodes
-        run_rows = ctx.run_rows
-        run_ends = ctx.run_ends
-
-        out_sids: List[int] = []
-        out_ops: List[int] = []
-        indices_arr = array("q")
-        offsets_arr = array("q", [0])
-        idx_extend = indices_arr.extend
-        off_append = offsets_arr.append
-        dep_flat = seg.dep_flat
-        dep_counts = seg.dep_counts
-        sids_col = seg.sids
-        ops_col = seg.opcodes
-        start = 0
-        count = 0
-        for r in range(n_rows):
-            nd = dep_counts[r]
-            if r in marker_set:
-                start += nd
-                continue
-            out_sids.append(sids_col[r])
-            out_ops.append(ops_col[r])
-            if nd:
-                acc = set()
-                for d in dep_flat[start:start + nd]:
-                    j = bisect_right(run_nodes, d) - 1
-                    if j >= 0:
-                        row = d - run_nodes[j] + run_rows[j]
-                        if row < run_ends[j]:
-                            k = bisect_right(mk, row)
-                            if not (k > 0 and mk[k - 1] == row):
-                                acc.add(row - k)
-                if acc:
-                    ordered = sorted(acc)
-                    idx_extend(ordered)
-                    count += len(ordered)
-            start += nd
-            off_append(count)
-        n_out = len(out_sids)
         out_addrs, out_store, out_mem = self._scatter_sparse(
             seg, local_markers, n_out
         )
@@ -1040,8 +970,7 @@ class SegmentStore:
         """Dense per-node address vectors from the sparse row-keyed
         sections (sparse rows are never markers, so every key maps to a
         real output node)."""
-        markers = (local_markers if isinstance(local_markers, list)
-                   else list(local_markers))
+        markers = list(local_markers)
 
         def out_index(row: int) -> int:
             return row - bisect_right(markers, row)
@@ -1138,13 +1067,9 @@ class SegmentStore:
                 out_store += chunk.store_addrs
                 out_mem += chunk.mem_addrs
                 indices.extend(chunk.pred_indices)
-                base = offsets[-1]
-                if _np is not None:
-                    rebased = _np.frombuffer(chunk.pred_offsets,
-                                             dtype=_np.int64)[1:] + base
-                    offsets.frombytes(rebased.tobytes())
-                else:
-                    offsets.extend(x + base for x in chunk.pred_offsets[1:])
+                rebased = np.frombuffer(chunk.pred_offsets,
+                                        dtype=np.int64)[1:] + offsets[-1]
+                offsets.frombytes(rebased.tobytes())
         if tel.enabled:
             tel.count("trace_store.segments_read", n_segments)
             tel.count("trace_store.bytes_read",
@@ -1214,31 +1139,6 @@ def _segment_worker(payload) -> DDGChunk:
         store = SegmentStore(path)
         _POOL_STORE = store
     return store._chunk(store.load(index), store.context())
-
-
-class StoredTrace(Trace):
-    """A :class:`Trace` view over a segment store.
-
-    :func:`~repro.ddg.build.build_ddg` recognizes the attached store and
-    streams segment windows; ``records`` (span indexing)
-    materializes the full columns on demand via :meth:`SegmentStore
-    .to_sink` — the compat path, at full-RAM cost.
-    """
-
-    def __init__(self, module, store: SegmentStore):
-        self.module = module
-        self.segment_store = store
-        self._spans = None
-        self._sink: Optional[ColumnarSink] = None
-
-    def __len__(self) -> int:
-        return self.segment_store.total_rows
-
-    @property
-    def records(self):
-        if self._sink is None:
-            self._sink = self.segment_store.to_sink()
-        return self._sink.records
 
 
 def open_store(path: str, use_mmap: bool = True) -> SegmentStore:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.pipeline import run_loop_analyses, select_instance_subtrace
+from repro.analysis.pipeline import run_loop_analyses
 from repro.analysis.report import BenchmarkReport
 from repro.errors import WorkloadError
 from repro.frontend import parse_source
@@ -17,7 +17,7 @@ from repro.profiler.hotloops import profile_loops
 from repro.vectorizer.autovec import VectorizerConfig, analyze_program_loops
 from repro.vectorizer.packed import percent_packed
 
-__all__ = ["Workload", "analyze_workload", "select_instance_subtrace"]
+__all__ = ["Workload", "analyze_workload"]
 
 
 def analyze_workload(

@@ -81,17 +81,17 @@ class TestLarus:
     def _loop_setup(self, source, label):
         module = compile_source(source)
         loop = module.loop_by_name(label)
-        trace = run_and_trace(module, loop=loop.loop_id)
-        sub = trace.subtrace(loop.loop_id, 0)
-        return module, loop, sub, build_ddg(sub)
+        window = run_and_trace(module, loop=loop.loop_id, instances={0})
+        return (module, loop, window.node_iterations(loop.loop_id),
+                build_ddg(window))
 
     def test_fully_parallel_loop(self):
-        module, loop, sub, ddg = self._loop_setup(
+        module, loop, iters, ddg = self._loop_setup(
             "double A[8]; double B[8]; int main() { int i; "
             "L: for (i = 0; i < 8; i++) A[i] = B[i] * 2.0; return 0; }",
             "L",
         )
-        result = larus_loop_parallelism(sub, ddg, loop.loop_id)
+        result = larus_loop_parallelism(iters, ddg, loop.loop_id)
         # 8 body iterations plus the trailing failing bounds check.
         assert result.num_iterations == 9
         # The induction-variable chain serializes iteration *starts*, but
@@ -99,12 +99,12 @@ class TestLarus:
         assert result.parallelism > 1.0
 
     def test_serial_loop_parallelism_near_one(self):
-        module, loop, sub, ddg = self._loop_setup(
+        module, loop, iters, ddg = self._loop_setup(
             "double A[8]; int main() { int i; "
             "L: for (i = 1; i < 8; i++) A[i] = A[i-1] * 2.0; return 0; }",
             "L",
         )
-        result = larus_loop_parallelism(sub, ddg, loop.loop_id)
+        result = larus_loop_parallelism(iters, ddg, loop.loop_id)
         assert result.parallelism < 1.6
 
     def test_fig2_larus_misses_reordering_parallelism(self):
@@ -112,34 +112,34 @@ class TestLarus:
         Larus-model partitions tiny, while Algorithm 1 puts each
         statement's instances into one full partition."""
         n = 8
-        module, loop, sub, ddg = self._loop_setup(listing2_source(n), "L")
+        module, loop, iters, ddg = self._loop_setup(listing2_source(n), "L")
         fmuls = [
             sid for sid in set(ddg.sids)
             if module.instruction(sid).opcode is Opcode.FMUL
         ]
         for sid in fmuls:
-            larus = larus_partitions(sub, ddg, loop.loop_id, sid)
+            larus = larus_partitions(iters, ddg, loop.loop_id, sid)
             ours = parallel_partitions(ddg, sid)
             assert max(len(p) for p in larus.values()) == 1
             assert len(ours) == 1
             assert len(next(iter(ours.values()))) == n - 1
 
     def test_mismatched_ddg_rejected(self):
-        module, loop, sub, ddg = self._loop_setup(
+        module, loop, iters, ddg = self._loop_setup(
             "double A[4]; int main() { int i; "
             "L: for (i = 0; i < 4; i++) A[i] = 1.0; return 0; }",
             "L",
         )
         wrong = DDG([1], [FMUL], [()])
         with pytest.raises(AnalysisError):
-            larus_loop_parallelism(sub, wrong, loop.loop_id)
+            larus_loop_parallelism(iters, wrong, loop.loop_id)
 
     def test_total_ops_counts_non_markers(self):
-        module, loop, sub, ddg = self._loop_setup(
+        module, loop, iters, ddg = self._loop_setup(
             "double A[4]; int main() { int i; "
             "L: for (i = 0; i < 4; i++) A[i] = 1.0; return 0; }",
             "L",
         )
-        result = larus_loop_parallelism(sub, ddg, loop.loop_id)
+        result = larus_loop_parallelism(iters, ddg, loop.loop_id)
         assert result.total_ops == len(ddg)
         assert result.completion_time >= 1

@@ -218,6 +218,22 @@ class TestTraceStorePaths:
         assert main(["analyze-trace", store, "--source", src]) == 0
         assert "100.0%" in capsys.readouterr().out
 
+    def test_trace_instance_that_never_runs_fails_by_name(self, capsys,
+                                                          tmp_path):
+        store = tmp_path / "fir.vtrace"
+        code = main(["trace", "utdsp_fir_array", "--loop", "fir_n",
+                     "--instance", "999", "-o", str(store)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "loop 'fir_n' instance 999 never executed" in captured.err
+        # Refused before the manifest is written: no store to analyze.
+        assert not (store / "MANIFEST.json").exists()
+        code = main(["analyze-trace", str(store), "--source",
+                     self._source(tmp_path)])
+        assert code == 1
+        assert "not a trace store" in capsys.readouterr().err
+
     def test_analyze_trace_old_format_fails_cleanly(self, capsys, tmp_path):
         old = tmp_path / "loop.vtrc"
         old.write_bytes(b"VTRC" + bytes(12))

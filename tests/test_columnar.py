@@ -1,11 +1,12 @@
-"""Columnar streaming pipeline: equivalence with the legacy object path.
+"""Columnar streaming pipeline: bit-identity with the reference oracle.
 
-The fused columnar sinks must be *bit-identical* to the DynInstr path —
-same DDG columns, same CSR adjacency, same reports — on arbitrary
-programs, or every downstream metric silently drifts.  A seeded-random
-kernel generator (nested loops, cross-iteration offsets, reduction
-accumulators) drives the comparison; each seed is one deterministic
-tier-1 case.
+The columnar sinks and the vectorized DDG build must be *bit-identical*
+to the reference recorder and record walk in :mod:`tests.reference` —
+same rows, same DDG columns, same CSR adjacency, same reports — on
+arbitrary programs, or every downstream metric silently drifts.  A
+seeded-random kernel generator (nested loops, cross-iteration offsets,
+reduction accumulators) drives the comparison; each seed is one
+deterministic tier-1 case.
 """
 
 import random
@@ -13,13 +14,16 @@ import random
 import pytest
 
 from repro.analysis.metrics import loop_metrics
-from repro.analysis.pipeline import analyze_loop, select_instance_subtrace
+from repro.analysis.pipeline import analyze_loop, windowed_loop_ddg
 from repro.ddg.build import build_ddg
 from repro.frontend import compile_source
 from repro.interp import run_and_trace
 from repro.interp.interpreter import Interpreter
-from repro.trace.columnar import ColumnarLoopSink, ColumnarSink, ColumnarTrace
-from repro.trace.sinks import LoopWindowSink
+from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
+from repro.trace.store import SegmentedLoopSink, SegmentedSink
+
+from tests import reference
+from tests.reference import column_fields, reference_fields, walk_ddg
 
 
 def random_kernel(seed: int) -> str:
@@ -88,27 +92,19 @@ def assert_ddgs_identical(a, b):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_full_trace_ddg_bit_identical(seed):
     module = compile_source(random_kernel(seed))
-    legacy = run_and_trace(module, columnar=False)
+    ref = reference.record(module)
     columnar = run_and_trace(module)
-    assert isinstance(columnar, ColumnarTrace)
-    assert len(columnar) == len(legacy)
-    assert_ddgs_identical(build_ddg(columnar), build_ddg(legacy))
+    assert isinstance(columnar, ColumnarSink)
+    assert len(columnar) == len(ref.records)
+    assert_ddgs_identical(build_ddg(columnar), walk_ddg(ref.records))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_full_trace_records_compat_view(seed):
+    """The columns hold the reference records field for field."""
     module = compile_source(random_kernel(seed))
-    legacy = run_and_trace(module, columnar=False)
-    columnar = run_and_trace(module)
-    for a, b in zip(columnar.records, legacy.records):
-        assert a.node == b.node
-        assert a.sid == b.sid
-        assert int(a.opcode) == int(b.opcode)
-        assert a.loop_id == b.loop_id
-        assert tuple(a.deps) == tuple(b.deps)
-        assert tuple(a.addrs) == tuple(b.addrs)
-        assert a.addr == b.addr
-        assert a.store_addr == b.store_addr
+    assert (column_fields(run_and_trace(module))
+            == reference_fields(reference.record(module)))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -116,53 +112,45 @@ def test_windowed_fused_ddg_matches_legacy_subtrace(seed):
     module = compile_source(random_kernel(seed))
     loop_name = "red" if seed % 2 == 1 else "outer"
     info = module.loop_by_name(loop_name)
-    legacy = run_and_trace(module, loop=info.loop_id, instances={0},
-                           columnar=False)
-    sub = select_instance_subtrace(legacy, info.loop_id, loop_name, 0)
-    legacy_ddg = build_ddg(sub)
+    ref = reference.record(module, loop=info.loop_id, instances={0})
+    assert ref.spans_recorded == 1
 
     sink = ColumnarLoopSink(info.loop_id, instances={0})
     Interpreter(module, sink=sink).run("main", ())
     assert sink.spans_recorded == 1
-    assert_ddgs_identical(sink.to_ddg(), legacy_ddg)
+    assert_ddgs_identical(sink.to_ddg(), walk_ddg(ref.records))
 
 
 @pytest.mark.parametrize("seed", [1, 3, 5])
 @pytest.mark.parametrize("relax", [False, True])
 def test_loop_metrics_unchanged_on_reductions(seed, relax):
     """End to end: the report off the fused path equals the report off
-    the legacy subtrace path, with and without reduction relaxation."""
+    the reference record walk, with and without reduction relaxation."""
     module = compile_source(random_kernel(seed))
     info = module.loop_by_name("red")
     fused = analyze_loop(module, "red", relax_reductions=relax)
 
-    legacy = run_and_trace(module, loop=info.loop_id, instances={0},
-                           columnar=False)
-    sub = select_instance_subtrace(legacy, info.loop_id, "red", 0)
-    expected = loop_metrics(build_ddg(sub), module, "red",
+    ref = reference.record(module, loop=info.loop_id, instances={0})
+    expected = loop_metrics(walk_ddg(ref.records), module, "red",
                             include_integer=False, relax_reductions=relax)
     assert fused == expected
 
 
 def test_windowed_multi_instance_spans():
     """A window over the inner loop of a nest records one span per outer
-    iteration; runs bookkeeping must keep them separate and the compat
-    Trace must still index them."""
+    iteration; runs bookkeeping must keep them separate."""
     module = compile_source(random_kernel(0))
     info = module.loop_by_name("innr")
     columnar = run_and_trace(module, loop=info.loop_id, instances=None)
-    legacy = run_and_trace(module, loop=info.loop_id, instances=None,
-                           columnar=False)
-    spans_c = columnar.loop_instances(info.loop_id)
-    spans_l = legacy.loop_instances(info.loop_id)
-    assert len(spans_c) == len(spans_l) > 1
-    assert len(columnar.columnar_sink.runs) >= len(spans_c)
-    assert_ddgs_identical(build_ddg(columnar), build_ddg(legacy))
+    ref = reference.record(module, loop=info.loop_id, instances=None)
+    assert columnar.spans_recorded == ref.spans_recorded > 1
+    assert len(columnar.runs) >= columnar.spans_recorded
+    assert_ddgs_identical(build_ddg(columnar), walk_ddg(ref.records))
 
 
 def test_store_backpatch_is_bounded_to_open_run():
-    """note_store for a node before the current run is a no-op (matches
-    the legacy window sink, whose index is cleared at span close)."""
+    """note_store for a node before the current run is a no-op: no
+    store outside a window is recorded, so a closed span is final."""
     sink = ColumnarSink()
     sink.emit(10, 1, 1, -1)
     sink.emit(11, 2, 1, -1)
@@ -171,60 +159,71 @@ def test_store_backpatch_is_bounded_to_open_run():
     sink.note_store(20, 0xF00D)  # open run — patched
     sink.note_store(20, 0xDEAD)  # second write — first wins
     assert sink.store_map == {2: 0xF00D}
-    assert [r.store_addr for r in sink.records] == [0, 0, 0xF00D]
-
-
-def test_loop_window_sink_by_node_is_bounded():
-    """Regression (memory hazard): the legacy window sink's backpatch
-    index must not accumulate across the whole run — it holds at most
-    the open span and is emptied once the span closes."""
-    module = compile_source(random_kernel(2))
-    info = module.loop_by_name("innr")
-    sink = LoopWindowSink(info.loop_id, instances={1})
-    interp = Interpreter(module, sink=sink)
-    interp.run("main", ())
-    assert sink._by_node == {}
-    window = len(sink.records)
-    assert 0 < window < interp.executed_instructions
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_numpy_and_fallback_remaps_agree(seed, monkeypatch):
-    """to_ddg has two implementations of the scatter + dependence remap
-    (vectorized and interpreted); both must produce the same DDG, on
-    full traces and on windowed multi-span sinks."""
-    import repro.trace.columnar as columnar_mod
-
-    if columnar_mod._np is None:
-        pytest.skip("numpy unavailable; only the fallback path exists")
-    module = compile_source(random_kernel(seed))
-    loop_name = "red" if seed % 2 == 1 else "innr"
-    info = module.loop_by_name(loop_name)
-    full = run_and_trace(module)
-    windowed = run_and_trace(module, loop=info.loop_id, instances=None)
-    fast = [build_ddg(full), build_ddg(windowed)]
-    monkeypatch.setattr(columnar_mod, "_np", None)
-    slow = [full.columnar_sink.to_ddg(), windowed.columnar_sink.to_ddg()]
-    for a, b in zip(fast, slow):
-        assert_ddgs_identical(a, b)
+    assert sink.to_ddg().store_addrs == [0, 0, 0xF00D]
 
 
 def test_columnar_trace_serializes_like_legacy(tmp_path):
     """The columnar window, in RAM and recorded to a trace store, holds
-    the legacy sink's records field for field."""
+    the reference recorder's records field for field."""
     module = compile_source(random_kernel(4))
     info = module.loop_by_name("outer")
     columnar = run_and_trace(module, loop=info.loop_id, instances={0})
-    legacy = run_and_trace(module, loop=info.loop_id, instances={0},
-                           columnar=False)
+    ref = reference.record(module, loop=info.loop_id, instances={0})
     stored = run_and_trace(module, loop=info.loop_id, instances={0},
                            spill_dir=str(tmp_path / "t"))
+    expected = reference_fields(ref)
+    assert len(expected) > 0
+    assert column_fields(columnar) == expected
+    assert column_fields(stored.to_sink()) == expected
 
-    def fields(trace):
-        return [(r.node, r.sid, int(r.opcode), r.loop_id, tuple(r.deps),
-                 tuple(r.addrs), r.addr, r.store_addr)
-                for r in trace.records]
 
-    assert len(legacy.records) > 0
-    assert fields(columnar) == fields(legacy)
-    assert fields(stored) == fields(legacy)
+def _production_window(module, loop, instances, compiled, spill):
+    """One recording through the production sinks: in RAM, or spilled
+    in 8-row segments so every window crosses segment boundaries.
+    Returns (columnar sink, DDG)."""
+    if spill:
+        sink = (SegmentedSink(spill, segment_rows=8) if loop is None
+                else SegmentedLoopSink(loop, instances, spill_dir=spill,
+                                       segment_rows=8))
+    else:
+        sink = (ColumnarSink() if loop is None
+                else ColumnarLoopSink(loop, instances))
+    Interpreter(module, sink=sink, compile_loops=compiled,
+                compile_threshold=2).run("main", ())
+    if spill:
+        store = sink.finish()
+        return store.to_sink(), store.to_ddg()
+    return sink, sink.to_ddg()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("compiled", [True, False])
+@pytest.mark.parametrize("spill", [False, True])
+def test_production_matches_reference(seed, compiled, spill, tmp_path):
+    """Property: on every random kernel, the production rows, DDG and
+    Larus iteration labels equal the reference oracle's, column for
+    column — full traces, one-instance windows and all-instance
+    windows; in RAM and spilled; trace-replay compiled and stepped."""
+    module = compile_source(random_kernel(seed))
+    loop_name = "red" if seed % 2 else ("outer" if seed % 4 == 0
+                                        else "innr")
+    info = module.loop_by_name(loop_name)
+    cases = [(None, None), (info.loop_id, {0}), (info.loop_id, {1}),
+             (info.loop_id, None)]
+    for i, (loop, instances) in enumerate(cases):
+        ref = reference.record(module, loop=loop, instances=instances)
+        spill_dir = str(tmp_path / f"s{i}") if spill else None
+        sink, ddg = _production_window(module, loop, instances, compiled,
+                                       spill_dir)
+        assert column_fields(sink) == reference_fields(ref)
+        assert_ddgs_identical(ddg, walk_ddg(ref.records))
+        assert (sink.node_iterations(info.loop_id)
+                == reference.node_iterations(ref.records, info.loop_id))
+    windowed, _ = windowed_loop_ddg(module, info.loop_id, loop_name,
+                                    compile_loops=compiled,
+                                    compile_threshold=2,
+                                    spill_dir=spill_dir, segment_rows=8)
+    assert_ddgs_identical(
+        windowed,
+        walk_ddg(reference.record(module, loop=info.loop_id,
+                                  instances={0}).records))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis.candidates import candidate_sids
+from repro.analysis.pipeline import windowed_loop_ddg
 from repro.ddg import DDG, build_ddg
 from repro.errors import AnalysisError
 from repro.frontend import compile_source
@@ -16,9 +17,7 @@ def make_ddg(source, loop=None, module_out=None):
         module_out.append(module)
     if loop is not None:
         info = module.loop_by_name(loop)
-        trace = run_and_trace(module, loop=info.loop_id)
-        sub = trace.subtrace(info.loop_id, 0)
-        return build_ddg(sub)
+        return windowed_loop_ddg(module, info.loop_id, loop)[0]
     return build_ddg(run_and_trace(module))
 
 

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.analysis.pipeline import windowed_loop_ddg
 from repro.analysis.timestamps import compute_timestamps, parallel_partitions
-from repro.ddg import DDG, build_ddg
+from repro.ddg import DDG
 from repro.ddg.dot import MAX_NODES, ddg_to_dot, partition_legend
 from repro.frontend import compile_source
-from repro.interp import run_and_trace
 from repro.ir.instructions import Opcode
 
 FMUL = int(Opcode.FMUL)
@@ -41,8 +41,7 @@ int main() {
 """
         module = compile_source(src)
         info = module.loop_by_name("L")
-        trace = run_and_trace(module, loop=info.loop_id)
-        ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+        ddg, _ = windowed_loop_ddg(module, info.loop_id, info.name)
         dot = ddg_to_dot(ddg, module)
         assert "fmul@5" in dot
 

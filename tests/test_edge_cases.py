@@ -7,6 +7,8 @@ from repro.errors import FrontendError
 from repro.frontend import compile_source
 from repro.interp import run_and_trace, run_module
 
+from tests.reference import column_fields
+
 
 class TestRecursiveLoopReentry:
     """A loop re-entered through recursion: the window sink's depth
@@ -33,34 +35,44 @@ int main() {
 }
 """
 
+    @staticmethod
+    def _enter_exit(sink, loop_id):
+        """Opcodes of the enter/exit markers of ``loop_id``, in order."""
+        rows = column_fields(sink)
+        return [rows[m][2] for m in sink.marker_rows
+                if rows[m][3] == loop_id and rows[m][2] in (70, 72)]
+
     def test_full_trace_spans_balanced(self):
         module = compile_source(self.SRC)
         trace = run_and_trace(module)
         info = module.loop_by_name("L")
-        spans = trace.loop_instances(info.loop_id)
+        kinds = self._enter_exit(trace, info.loop_id)
         # 3 nested activations per top-level call, 2 calls.
-        assert len(spans) == 6
-        for span in spans:
-            assert trace.records[span.start].opcode == 70
-            assert trace.records[span.end].opcode == 72
+        assert kinds.count(70) == kinds.count(72) == 6
+        depth = 0
+        for kind in kinds:
+            depth += 1 if kind == 70 else -1
+            assert depth >= 0
+        assert depth == 0
 
     def test_window_covers_nested_activations(self):
         module = compile_source(self.SRC)
         info = module.loop_by_name("L")
-        trace = run_and_trace(module, loop=info.loop_id, instances={0})
+        window = run_and_trace(module, loop=info.loop_id, instances={0})
         # Instance 0 is the outermost activation of the first call; the
         # recursive activations happen inside it and are recorded.
-        spans = trace.loop_instances(info.loop_id)
-        assert len(spans) == 3
-        ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+        assert window.spans_recorded == 1
+        assert self._enter_exit(window, info.loop_id).count(70) == 3
+        ddg = build_ddg(window)
         assert len(ddg) > 0
 
     def test_later_instance_selectable(self):
         module = compile_source(self.SRC)
         info = module.loop_by_name("L")
-        trace = run_and_trace(module, loop=info.loop_id, instances={3})
+        window = run_and_trace(module, loop=info.loop_id, instances={3})
         # Instance 3 = the outermost activation of the second call.
-        assert trace.loop_instances(info.loop_id)
+        assert window.spans_recorded == 1
+        assert len(window) > 0
 
 
 class TestDiagnostics:

@@ -195,10 +195,10 @@ def test_traces_of_generated_programs_are_well_formed(program):
     ddg = build_ddg(trace)  # raises if edges violate topological order
     # Loop markers must balance.
     depth = 0
-    for rec in trace.records:
-        if rec.opcode == 70:
+    for m in trace.marker_rows:
+        if trace.opcodes[m] == 70:
             depth += 1
-        elif rec.opcode == 72:
+        elif trace.opcodes[m] == 72:
             depth -= 1
         assert depth >= 0
     assert depth == 0

@@ -10,6 +10,7 @@ caught here.
 import pytest
 
 from repro.analysis.metrics import loop_metrics
+from repro.analysis.pipeline import windowed_loop_ddg
 from repro.ddg import build_ddg
 from repro.frontend import compile_source, parse_source
 from repro.interp import run_and_trace
@@ -22,8 +23,7 @@ from repro.workloads.base import analyze_workload
 def loop_report(source, label, **kw):
     module = compile_source(source)
     info = module.loop_by_name(label)
-    trace = run_and_trace(module, loop=info.loop_id)
-    ddg = build_ddg(trace.subtrace(info.loop_id, 0))
+    ddg, _ = windowed_loop_ddg(module, info.loop_id, info.name)
     return loop_metrics(ddg, module, label, **kw)
 
 

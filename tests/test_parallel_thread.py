@@ -14,6 +14,7 @@ one-thread-at-a-time methodology.
 
 import pytest
 
+from repro.analysis.candidates import candidate_nodes
 from repro.analysis.metrics import loop_metrics
 from repro.ddg import build_ddg
 from repro.frontend import compile_source
@@ -49,10 +50,9 @@ def module():
 
 def analyze_rank(module, rank, nthreads=4):
     info = module.loop_by_name("body")
-    trace = run_and_trace(module, entry="worker", args=(rank, nthreads),
-                          loop=info.loop_id, instances={0})
-    sub = trace.subtrace(info.loop_id, 0)
-    return loop_metrics(build_ddg(sub), module, "body")
+    window = run_and_trace(module, entry="worker", args=(rank, nthreads),
+                           loop=info.loop_id, instances={0})
+    return loop_metrics(build_ddg(window), module, "body")
 
 
 class TestPerThreadAnalysis:
@@ -71,15 +71,13 @@ class TestPerThreadAnalysis:
         info = module.loop_by_name("body")
         seen = set()
         for rank in range(4):
-            trace = run_and_trace(module, entry="worker", args=(rank, 4),
-                                  loop=info.loop_id, instances={0})
-            addrs = {
-                r.addr for r in trace.records if r.addr and r.store_addr
-            }
+            window = run_and_trace(module, entry="worker", args=(rank, 4),
+                                   loop=info.loop_id, instances={0})
+            ddg = build_ddg(window)
             stores = {
-                r.store_addr
-                for r in trace.candidate_records()
-                if r.store_addr
+                ddg.store_addrs[i]
+                for i in candidate_nodes(ddg)
+                if ddg.store_addrs[i]
             }
             assert not (stores & seen)
             seen |= stores
@@ -88,5 +86,5 @@ class TestPerThreadAnalysis:
         """Analyzing the sequentialized parallel region from main sees
         all four slices as one loop per instance."""
         info = module.loop_by_name("body")
-        trace = run_and_trace(module, entry="main", loop=info.loop_id)
-        assert len(trace.loop_instances(info.loop_id)) == 4
+        window = run_and_trace(module, entry="main", loop=info.loop_id)
+        assert window.spans_recorded == 4

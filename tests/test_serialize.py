@@ -1,8 +1,9 @@
 """The on-disk trace format: the segment store ``vectra trace`` writes.
 
 A trace recorded to disk (``run_and_trace(..., spill_dir=DIR)``, which
-is what ``vectra trace -o DIR`` calls) must read back record for record
-and field for field, and a damaged store must fail with a
+is what ``vectra trace -o DIR`` calls) must read back row for row and
+field for field — the reference recorder's records — and a damaged
+store must fail with a
 :class:`TraceError` on both the mmap and the buffered reader, never with
 a partial load or a raw numpy/struct exception.
 """
@@ -18,8 +19,11 @@ from repro.errors import TraceError
 from repro.frontend import compile_source
 from repro.interp import run_and_trace
 from repro.trace.columnar import ColumnarSink
+from repro.trace.events import MARKER_ENTER
 from repro.trace.store import MANIFEST_NAME, SegmentedSink, open_store
 
+from tests import reference
+from tests.reference import column_fields, reference_fields
 from tests.test_columnar import assert_ddgs_identical
 
 
@@ -38,19 +42,6 @@ SEGMENT = "segment-00000.vseg"
 @pytest.fixture
 def module():
     return compile_source(SRC)
-
-
-def _assert_records_equal(a, b):
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert x.node == y.node
-        assert x.sid == y.sid
-        assert int(x.opcode) == int(y.opcode)
-        assert x.loop_id == y.loop_id
-        assert tuple(x.deps) == tuple(y.deps)
-        assert tuple(x.addrs) == tuple(y.addrs)
-        assert x.addr == y.addr
-        assert x.store_addr == y.store_addr
 
 
 def _read_all(path, use_mmap):
@@ -90,14 +81,16 @@ def test_round_trip_preserves_all_fields(module, tmp_path):
     ram = run_and_trace(module)
     disk = run_and_trace(module, spill_dir=str(tmp_path / "t"))
     assert len(disk) == len(ram)
-    _assert_records_equal(ram.records, disk.records)
+    expected = reference_fields(reference.record(module))
+    assert column_fields(ram) == expected
+    assert column_fields(disk.to_sink()) == expected
 
 
 def test_round_trip_via_files(module, tmp_path):
     path = str(tmp_path / "t.vtrace")
     ram = run_and_trace(module)
     written = run_and_trace(module, spill_dir=path)
-    back = open_store(path).trace(module)
+    back = open_store(path)
     assert len(back) == len(written) == len(ram)
     assert_ddgs_identical(build_ddg(ram), build_ddg(back))
 
@@ -105,9 +98,11 @@ def test_round_trip_via_files(module, tmp_path):
 def test_spans_survive_round_trip(module, tmp_path):
     path = str(tmp_path / "t")
     run_and_trace(module, spill_dir=path)
-    back = open_store(path).trace(module)
+    back = open_store(path).to_sink()
     loop = module.loop_by_name("L")
-    assert len(back.loop_instances(loop.loop_id)) == 1
+    enters = [m for m in back.marker_rows
+              if back.opcodes[m] == MARKER_ENTER]
+    assert [column_fields(back)[m][3] for m in enters] == [loop.loop_id]
 
 
 def test_bad_magic_rejected(module, tmp_path):
@@ -155,7 +150,7 @@ def test_round_trip_at_count_boundaries(tmp_path, count):
     boundaries and past them: the store keeps counts as int32."""
     ram, store = _synthetic(str(tmp_path / "t"), dep_counts=(count,),
                             addr_counts=(0, count))
-    _assert_records_equal(ram.records, store.to_sink().records)
+    assert column_fields(store.to_sink()) == column_fields(ram)
     assert_ddgs_identical(ram.to_ddg(), store.to_ddg())
 
 
@@ -218,9 +213,10 @@ def test_windowed_subtrace_round_trip(module, tmp_path):
     """A windowed loop instance — the artifact ``vectra trace`` writes —
     reads back field for field, markers included."""
     loop = module.loop_by_name("L")
-    ram = run_and_trace(module, loop=loop.loop_id, instances={0})
-    sub = ram.subtrace(loop.loop_id, 0)
+    ref = reference.record(module, loop=loop.loop_id, instances={0})
     disk = run_and_trace(module, loop=loop.loop_id, instances={0},
                          spill_dir=str(tmp_path / "t"))
-    _assert_records_equal(sub.records, disk.records)
-    assert len(disk.loop_instances(loop.loop_id)) == 1
+    back = disk.to_sink()
+    assert column_fields(back) == reference_fields(ref)
+    assert back.opcodes[0] == MARKER_ENTER
+    assert ref.spans_recorded == 1

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.analysis.pipeline import windowed_loop_ddg
 from repro.analysis.timestamps import (
     average_partition_size,
     batched_parallel_partitions,
@@ -264,8 +265,7 @@ class TestPaperListings:
         n = 8
         module = compile_source(listing2_source(n))
         loop = module.loop_by_name("L")
-        trace = run_and_trace(module, loop=loop.loop_id)
-        ddg = build_ddg(trace.subtrace(loop.loop_id, 0))
+        ddg, _ = windowed_loop_ddg(module, loop.loop_id, loop.name)
         for sid in self._fmul_sids(module, ddg):
             parts = parallel_partitions(ddg, sid)
             assert len(parts) == 1

@@ -23,7 +23,7 @@ from repro.analysis.timestamps import (
 from repro.ddg.build import build_ddg
 from repro.errors import TraceError
 from repro.frontend import compile_source
-from repro.interp.interpreter import DEFAULT_FUEL, Interpreter, run_and_trace
+from repro.interp.interpreter import Interpreter, run_and_trace
 from repro.trace.columnar import ColumnarLoopSink, ColumnarSink
 from repro.trace.store import (
     MANIFEST_NAME,
@@ -33,6 +33,8 @@ from repro.trace.store import (
     open_store,
 )
 
+from tests import reference
+from tests.reference import column_fields, walk_ddg
 from tests.test_columnar import assert_ddgs_identical, random_kernel
 
 SEEDS = list(range(8))
@@ -57,8 +59,11 @@ def _window_pair(seed, tmp_path, segment_rows=8):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_spilled_ddg_bit_identical(seed, tmp_path):
-    _, _, ram, store = _window_pair(seed, tmp_path)
+    module, loop_name, ram, store = _window_pair(seed, tmp_path)
     assert len(store.segments) > 1, "budget too large to exercise spills"
+    ref = reference.record(module, loop=module.loop_by_name(loop_name)
+                           .loop_id, instances={0})
+    assert_ddgs_identical(walk_ddg(ref.records), store.to_ddg())
     assert_ddgs_identical(ram.to_ddg(), store.to_ddg())
 
 
@@ -87,20 +92,6 @@ def test_segment_sharded_jobs_identical(seed, tmp_path):
     pool-hostile sandboxes)."""
     _, _, ram, store = _window_pair(seed, tmp_path)
     assert_ddgs_identical(ram.to_ddg(), store.to_ddg(jobs=2))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 4])
-def test_numpy_and_fallback_chunks_agree(seed, tmp_path, monkeypatch):
-    import repro.trace.store as store_mod
-
-    if store_mod._np is None:
-        pytest.skip("numpy unavailable; only the fallback path exists")
-    _, _, ram, store = _window_pair(seed, tmp_path)
-    fast = store.to_ddg()
-    monkeypatch.setattr(store_mod, "_np", None)
-    slow = store.to_ddg()
-    assert_ddgs_identical(fast, slow)
-    assert_ddgs_identical(ram.to_ddg(), slow)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -220,16 +211,12 @@ def test_pre_spill_store_entry_beats_late_patch(tmp_path):
 
 
 def test_stored_trace_dispatches_and_materializes(tmp_path):
-    module, _, ram, store = _window_pair(0, tmp_path)
-    trace = store.trace(module)
-    assert len(trace) == store.total_rows
-    assert_ddgs_identical(ram.to_ddg(), build_ddg(trace))
-    ram_records = ram.records
-    for a, b in zip(trace.records, ram_records):
-        assert (a.node, a.sid, int(a.opcode), a.loop_id) == (
-            b.node, b.sid, int(b.opcode), b.loop_id)
-        assert tuple(a.deps) == tuple(b.deps)
-        assert a.store_addr == b.store_addr
+    """build_ddg streams a store through SegmentStore.to_ddg, and
+    to_sink materializes the rows of the in-RAM window."""
+    _, _, ram, store = _window_pair(0, tmp_path)
+    assert len(store) == store.total_rows == len(ram)
+    assert_ddgs_identical(ram.to_ddg(), build_ddg(store))
+    assert column_fields(store.to_sink()) == column_fields(ram)
 
 
 def test_segmented_sink_refuses_in_ram_conveniences(tmp_path):
@@ -237,8 +224,6 @@ def test_segmented_sink_refuses_in_ram_conveniences(tmp_path):
     sink.emit(0, 1, 1, -1)
     with pytest.raises(TraceError, match="finish"):
         sink.to_ddg()
-    with pytest.raises(TraceError, match="finish"):
-        sink.records
     with pytest.raises(TraceError):
         SegmentedSink(str(tmp_path / "bad"), segment_rows=0)
 
@@ -391,9 +376,9 @@ def test_offline_trace_matches_windowed_ddg(seed, tmp_path):
     path = str(tmp_path / "t.vtrace")
     run_and_trace(module, "main", loop=info.loop_id, instances={instance},
                   spill_dir=path)
-    offline = build_ddg(open_store(path).trace(module))
+    offline = build_ddg(open_store(path))
     windowed, _ = windowed_loop_ddg(module, info.loop_id, loop_name,
-                                    "main", (), instance, DEFAULT_FUEL)
+                                    instance=instance)
     assert len(offline) > 0
     assert_ddgs_identical(windowed, offline)
 
